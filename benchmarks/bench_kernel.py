@@ -22,8 +22,7 @@ so the performance trajectory is tracked across PRs:
   Skipped (recorded as ``null``) when git or the root commit's tree is
   unavailable, e.g. in a shallow checkout;
 * **batched** — the same Figure 3 point with the batching path off vs. on
-  (coordinator value batching + learner batch drain + kernel same-actor
-  dispatch).  Batching packs ~16 values of 2 KB into each 32 KB consensus
+  (coordinator value batching + kernel same-actor dispatch).  Batching packs ~16 values of 2 KB into each 32 KB consensus
   instance, so far fewer kernel events are spent per ordered command; the
   headline ``speedup`` is ordered commands per wall-clock second, and the
   events-per-command ratio is recorded alongside it.
@@ -215,8 +214,7 @@ def bench_macro_batched() -> Dict[str, object]:
     """Fig 3 wall clock: unbatched fast path vs. the full batching path.
 
     Both sides run the current stack; the batched side enables coordinator
-    value batching (which also turns on the learner batch drain and the
-    kernel's same-actor dispatch).  Each ordered command then amortises its
+    value batching (which also turns on the kernel's same-actor dispatch).  Each ordered command then amortises its
     ring circulation across a whole batch, so the cost that matters —
     **ordered commands per wall-clock second** — is the headline ``speedup``.
     Runs are interleaved so slow-machine drift hits both sides.

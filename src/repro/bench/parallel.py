@@ -57,6 +57,7 @@ from ..core.smr import ProposerFrontend, ReactiveReplicaHost
 from ..multiring.merge import (
     RingSegment,
     RingSegmentBuffer,
+    RunEntries,
     effective_streams,
     replay_streams,
 )
@@ -274,7 +275,7 @@ class _ReactiveMergeStage:
                 RingSegment(
                     incarnation=segment.incarnation,
                     start=segment.start,
-                    entries=list(segment.entries),
+                    entries=RunEntries(segment.entries),
                 )
             )
 

@@ -42,6 +42,7 @@ from typing import (
     Deque,
     Dict,
     Iterable,
+    Iterator,
     List,
     Mapping,
     Optional,
@@ -52,6 +53,7 @@ from typing import (
 )
 
 from ..paxos.messages import SKIP, ProposalValue
+from ..paxos.runs import RunMap
 from ..ringpaxos.coordinator import PackedValues
 from ..sim.network import register_wire_reducer
 
@@ -77,6 +79,7 @@ __all__ = [
     "MergeDivergenceError",
     "RingSegment",
     "RingSegmentBuffer",
+    "RunEntries",
     "StaleWatermarkError",
     "effective_streams",
     "replay_streams",
@@ -110,6 +113,100 @@ class MergeDivergenceError(ValueError):
     """
 
 
+class RunEntries:
+    """One ring's ordered ``(instance, value)`` stream with skip runs folded.
+
+    Consecutive skip instances with equal values are stored as one
+    ``(first, last, value)`` triple in :attr:`runs`; every other entry is a
+    run of one.  This is the only in-memory form of a recorded stream: a
+    rate-leveling skip range the learner emits as one run stays one run, and
+    per-instance entries appended one at a time are folded on the way in.
+
+    The container still reads as the per-instance list it stands for:
+    ``len()`` counts instances, iteration yields ``(instance, value)`` pairs,
+    slicing is by instance position, and it compares equal to the
+    equivalent list.
+    """
+
+    __slots__ = ("runs", "_count")
+
+    def __init__(self, entries: Iterable[Tuple[int, ProposalValue]] = ()) -> None:
+        #: ``(first, last, value)`` runs in stream order.
+        self.runs: List[Tuple[int, int, ProposalValue]] = []
+        self._count = 0
+        self.extend(entries)
+
+    def append_run(self, first: int, last: int, value: ProposalValue) -> None:
+        """Append instances ``first..last``, all deciding ``value``."""
+        runs = self.runs
+        if value.payload is SKIP:
+            if runs:
+                run_first, run_last, run_value = runs[-1]
+                if run_last + 1 == first and (run_value is value or run_value == value):
+                    runs[-1] = (run_first, last, run_value)
+                    self._count += last - first + 1
+                    return
+        elif first != last:
+            # Only skips fold: an application value keeps one entry per instance.
+            for instance in range(first, last + 1):
+                runs.append((instance, instance, value))
+            self._count += last - first + 1
+            return
+        runs.append((first, last, value))
+        self._count += last - first + 1
+
+    def extend(self, entries: Iterable[Tuple[int, ProposalValue]]) -> None:
+        """Append a stream continuation (another :class:`RunEntries` or pairs)."""
+        if isinstance(entries, RunEntries):
+            for run in entries.runs:
+                self.append_run(*run)
+        else:
+            for instance, value in entries:
+                self.append_run(instance, instance, value)
+
+    def __len__(self) -> int:
+        return self._count
+
+    def __iter__(self) -> Iterator[Tuple[int, ProposalValue]]:
+        for first, last, value in self.runs:
+            if first == last:
+                yield first, value
+            else:
+                for instance in range(first, last + 1):
+                    yield instance, value
+
+    def __eq__(self, other: object) -> bool:
+        if isinstance(other, RunEntries):
+            return self._count == other._count and self.runs == other.runs
+        if isinstance(other, (list, tuple)):
+            return list(self) == list(other)
+        return NotImplemented
+
+    __hash__ = None  # type: ignore[assignment]
+
+    def __getitem__(self, index: slice) -> "RunEntries":
+        """A slice by instance position (step 1 only)."""
+        start, stop, step = index.indices(self._count)
+        if step != 1:
+            raise ValueError("RunEntries slices must have step 1")
+        out = RunEntries()
+        position = 0
+        for first, last, value in self.runs:
+            if position >= stop:
+                break
+            size = last - first + 1
+            lo = max(start - position, 0)
+            hi = min(stop - position, size)
+            if lo < hi:
+                out.runs.append((first + lo, first + hi - 1, value))
+                out._count += hi - lo
+            position += size
+        return out
+
+    def __repr__(self) -> str:
+        return f"RunEntries({self.runs!r})"
+
+
 @dataclass(slots=True)
 class RingSegment:
     """One ring's decision-stream slice, tagged for crash-safe streaming.
@@ -123,97 +220,73 @@ class RingSegment:
         bump to reset their resume-position check and dedup the re-emitted
         prefix.
     start:
-        Resume position: how many entries of this incarnation's stream were
-        shipped before this segment.  Consumers verify contiguity so a
+        Resume position: how many instances of this incarnation's stream
+        were shipped before this segment.  Consumers verify contiguity so a
         segment lost in transport is an error, not a silent gap.
     entries:
-        The ordered ``(instance, value)`` pairs recorded since the previous
-        cut (skips included).  May be empty — an empty segment still tells
-        the consumer the ring was covered up to the barrier.
+        The ordered entries recorded since the previous cut (skips
+        included), as :class:`RunEntries`; a plain list of ``(instance,
+        value)`` pairs is folded on construction.  May be empty — an empty
+        segment still tells the consumer the ring was covered up to the
+        barrier.
     """
 
     incarnation: int = 0
     start: int = 0
-    entries: List[Tuple[int, ProposalValue]] = field(default_factory=list)
+    entries: RunEntries = field(default_factory=RunEntries)
+
+    def __post_init__(self) -> None:
+        if not isinstance(self.entries, RunEntries):
+            self.entries = RunEntries(self.entries)
 
 
 # Segments are the bulk of barrier traffic in streaming-merge runs, and their
-# entry lists are extremely regular: instances are consecutive (learners record
-# every instance in order) and rate-leveled skips arrive in bursts of
-# field-identical ``ProposalValue(SKIP, ...)`` records.  The wire form exploits
-# both: it splits ``entries`` into an instance column (a single start instance
-# when consecutive, the common case) and a value column, and run-length
-# encodes equal skip runs.  Decoding expands runs into *fresh* ``ProposalValue``
-# instances, so receivers see the same no-aliasing object graph legacy
-# pickling produced.
-
-#: Shortest equal-skip run worth a ``(count, value)`` marker.  Below this the
-#: per-run tuple overhead exceeds the interned-skip back-reference it replaces.
-_SEGMENT_RUN_MIN = 3
+# runs are extremely regular: instances are consecutive (learners record
+# every instance in order).  The wire form splits the runs into an instance
+# column (a single start instance when consecutive, the common case) and a
+# value column, where a run longer than one instance is a ``(count, value)``
+# marker.
 
 
 def _segment_wire_reduce(segment: "RingSegment"):
-    """Pickle reduce hook: ``RingSegment`` → columnar, skip-run-compressed form."""
-    entries = segment.entries
-    count = len(entries)
-    instances: Union[int, Tuple[int, ...]] = 0
-    if count:
-        first = entries[0][0]
-        if all(inst == first + idx for idx, (inst, _) in enumerate(entries)):
-            instances = first
-        else:
-            instances = tuple(inst for inst, _ in entries)
-    packed: List[Union[ProposalValue, Tuple[int, ProposalValue]]] = []
-    idx = 0
-    while idx < count:
-        value = entries[idx][1]
-        end = idx + 1
-        if value.is_skip():
-            while end < count and entries[end][1] == value:
-                end += 1
-        if end - idx >= _SEGMENT_RUN_MIN:
-            packed.append((end - idx, value))
-        else:
-            packed.extend(entry[1] for entry in entries[idx:end])
-        idx = end
-    return _segment_wire_build, (
-        segment.incarnation,
-        segment.start,
-        instances,
-        count,
-        tuple(packed),
+    """Pickle reduce hook: ``RingSegment`` → columnar run form."""
+    runs = segment.entries.runs
+    firsts: Union[int, Tuple[int, ...]] = 0
+    if runs:
+        firsts = expected = runs[0][0]
+        for first, last, _ in runs:
+            if first != expected:
+                firsts = tuple(run[0] for run in runs)
+                break
+            expected = last + 1
+    packed = tuple(
+        value if first == last else (last - first + 1, value) for first, last, value in runs
     )
+    return _segment_wire_build, (segment.incarnation, segment.start, firsts, packed)
 
 
 def _segment_wire_build(
     incarnation: int,
     start: int,
-    instances: Union[int, Tuple[int, ...]],
-    count: int,
+    firsts: Union[int, Tuple[int, ...]],
     packed: Tuple[Union[ProposalValue, Tuple[int, ProposalValue]], ...],
 ) -> "RingSegment":
-    """Rebuild a :class:`RingSegment` from its compressed wire form."""
-    values: List[ProposalValue] = []
-    for item in packed:
+    """Rebuild a :class:`RingSegment` from its columnar wire form."""
+    entries = RunEntries()
+    runs = entries.runs
+    consecutive = type(firsts) is not tuple
+    instance = firsts
+    count = 0
+    for index, item in enumerate(packed):
+        first = instance if consecutive else firsts[index]
         if type(item) is tuple:
-            run, value = item
-            values.append(value)
-            for _ in range(run - 1):
-                values.append(
-                    ProposalValue(
-                        value.payload,
-                        value.size_bytes,
-                        value.proposer,
-                        value.proposal_id,
-                        value.created_at,
-                    )
-                )
+            size, value = item
         else:
-            values.append(item)
-    if type(instances) is tuple:
-        entries = list(zip(instances, values))
-    else:
-        entries = list(zip(range(instances, instances + count), values))
+            size, value = 1, item
+        runs.append((first, first + size - 1, value))
+        count += size
+        instance = first + size
+    entries._count = count
     return RingSegment(incarnation=incarnation, start=start, entries=entries)
 
 
@@ -300,8 +373,8 @@ class RingSegmentBuffer:
 
     The producer side of the streaming merge: installed as a ring-stream tap
     (:meth:`repro.multiring.process.MultiRingProcess.record_ring_segments`),
-    it collects every ``(instance, value)`` a ring learner emits — skips
-    included — and :meth:`cut` hands over everything recorded since the last
+    it collects every run a ring learner emits — skip runs included, kept
+    as runs (:class:`RunEntries`) — and :meth:`cut` hands over everything recorded since the last
     cut as one tagged :class:`RingSegment` per ring, ready to ship through a
     barrier.  Several processes may share one buffer (their rings are
     disjoint).
@@ -319,7 +392,7 @@ class RingSegmentBuffer:
     __slots__ = ("_entries", "_incarnations", "_positions", "_down", "_known", "total_entries")
 
     def __init__(self) -> None:
-        self._entries: Dict[int, List[Tuple[int, ProposalValue]]] = {}
+        self._entries: Dict[int, RunEntries] = {}
         self._incarnations: Dict[int, int] = {}
         #: Entries already cut in the ring's current incarnation.
         self._positions: Dict[int, int] = {}
@@ -328,7 +401,7 @@ class RingSegmentBuffer:
         #: Every ring ever subscribed or recorded; covered cuts include them
         #: even when idle, so the consumer can advance their watermarks.
         self._known: Set[int] = set()
-        #: Entries recorded over the buffer's lifetime (cuts included).
+        #: Instances recorded over the buffer's lifetime (cuts included).
         self.total_entries = 0
 
     def subscribe(self, ring_ids: Iterable[int]) -> None:
@@ -336,10 +409,17 @@ class RingSegmentBuffer:
         self._known.update(ring_ids)
 
     def append(self, ring_id: int, instance: int, value: ProposalValue) -> None:
-        """Record one ordered instance (the tap callback)."""
-        self._known.add(ring_id)
-        self._entries.setdefault(ring_id, []).append((instance, value))
-        self.total_entries += 1
+        """Record one ordered instance."""
+        self.append_run(ring_id, instance, instance, value)
+
+    def append_run(self, ring_id: int, first: int, last: int, value: ProposalValue) -> None:
+        """Record ordered instances ``first..last`` deciding ``value`` (the tap callback)."""
+        entries = self._entries.get(ring_id)
+        if entries is None:
+            self._known.add(ring_id)
+            entries = self._entries[ring_id] = RunEntries()
+        entries.append_run(first, last, value)
+        self.total_entries += last - first + 1
 
     def mark_down(self, ring_ids: Iterable[int]) -> None:
         """The producer of these rings crashed: drop its uncut tail.
@@ -388,7 +468,7 @@ class RingSegmentBuffer:
             if ring_id in self._down:
                 entries.pop(ring_id, None)
                 continue
-            recorded = entries.pop(ring_id, None) or []
+            recorded = entries.pop(ring_id, None) or RunEntries()
             start = self._positions.get(ring_id, 0)
             segments[ring_id] = RingSegment(
                 incarnation=self._incarnations.get(ring_id, 0),
@@ -455,10 +535,11 @@ class MergeCursor:
         #: Per-ring incarnation/resume-position tracking (crash-safe feeds).
         self._incarnations: Dict[int, int] = {g: 0 for g in groups}
         self._positions: Dict[int, int] = {g: 0 for g in groups}
-        #: Highest instance merged per ring, and what each instance decided —
-        #: the dedup floor and the divergence oracle for re-emitted prefixes.
+        #: Highest instance merged per ring, and what each instance decided
+        #: (as runs) — the dedup floor and the divergence oracle for
+        #: re-emitted prefixes.
         self._high: Dict[int, int] = {g: -1 for g in groups}
-        self._seen: Dict[int, Dict[int, ProposalValue]] = {g: {} for g in groups}
+        self._seen: Dict[int, RunMap] = {g: RunMap() for g in groups}
         self._duplicates = 0
         self._merger = DeterministicMerger(
             group_ids, messages_per_round=messages_per_round, on_deliver=self._collect
@@ -480,8 +561,9 @@ class MergeCursor:
     ) -> None:
         """Feed one ring's next segment (possibly empty) into the merge.
 
-        ``entries`` must continue the ring's ordered stream exactly where the
-        previous segment ended.  ``watermark`` advances the ring's completion
+        ``entries`` (a :class:`RunEntries`, or ``(instance, value)`` pairs that
+        are folded into one) must continue the ring's ordered stream exactly
+        where the previous segment ended.  ``watermark`` advances the ring's completion
         time — an empty segment with a watermark is how an idle ring reports
         progress; feeding a watermark that moves backwards is an error.
 
@@ -520,27 +602,35 @@ class MergeCursor:
                     f"{self._positions[group_id]} — a segment was lost or "
                     f"reordered in transport"
                 )
+        if not isinstance(entries, RunEntries):
+            entries = RunEntries(entries)
         count = 0
         high = self._high[group_id]
         seen = self._seen[group_id]
-        offer = self._merger.offer
-        for instance, value in entries:
-            count += 1
-            if instance <= high:
+        merger = self._merger
+        for first, last, value in entries.runs:
+            count += last - first + 1
+            if first <= high:
                 # Re-emitted prefix of a restarted producer: drop it, but
-                # only after checking it decided the very same value.
-                original = seen.get(instance)
-                if original is not None and original.payload != value.payload:
-                    raise MergeDivergenceError(
-                        f"ring {group_id} instance {instance} re-emitted a "
-                        f"different value ({original.payload!r} vs "
-                        f"{value.payload!r})"
-                    )
-                self._duplicates += 1
-                continue
-            seen[instance] = value
-            high = instance
-            offer(group_id, instance, value)
+                # only after checking it decided the very same values.
+                duplicate_last = min(last, high)
+                for instance, _, original in seen.between(first, duplicate_last):
+                    if original.payload != value.payload:
+                        raise MergeDivergenceError(
+                            f"ring {group_id} instance {instance} re-emitted a "
+                            f"different value ({original.payload!r} vs "
+                            f"{value.payload!r})"
+                        )
+                self._duplicates += duplicate_last - first + 1
+                if last <= high:
+                    continue
+                first = high + 1
+            seen.add(first, last, value)
+            high = last
+            if first == last:
+                merger.offer(group_id, first, value)
+            else:
+                merger.offer_run(group_id, first, last, value)
         self._high[group_id] = high
         if incarnation is not None:
             self._positions[group_id] += count
@@ -649,7 +739,7 @@ class MergeCursor:
 
     @property
     def duplicates_dropped(self) -> int:
-        """Re-emitted entries deduped so far (restart re-emissions)."""
+        """Re-emitted instances deduped so far (restart re-emissions)."""
         return self._duplicates
 
     @property
@@ -689,6 +779,13 @@ class DeterministicMerger:
         application message (skips are consumed silently).  Values packed into
         one instance by coordinator batching are unpacked and delivered
         individually, preserving their order inside the batch.
+
+    Each ring's queue holds ``(first, last, value)`` runs: a skip run is
+    consumed up to ``M`` instances per turn in O(1), and when the head of
+    every ring's queue is a skip run the merge skips whole rounds at once.
+    Skips deliver nothing, so the deliveries — and the merge state each
+    delivery callback observes — are exactly those of consuming the runs
+    one instance at a time.
     """
 
     def __init__(
@@ -704,7 +801,7 @@ class DeterministicMerger:
         self._groups: List[int] = sorted(set(group_ids))
         self._m = messages_per_round
         self._on_deliver = on_deliver or (lambda *args: None)
-        self._queues: Dict[int, Deque[Tuple[int, ProposalValue]]] = {
+        self._queues: Dict[int, Deque[Tuple[int, int, ProposalValue]]] = {
             g: deque() for g in self._groups
         }
         self._current_index = 0
@@ -737,8 +834,34 @@ class DeterministicMerger:
                 self._current_index = (self._current_index + 1) % len(self._groups)
                 self._advance()
             return
-        queue.append((instance, value))
+        self._enqueue(queue, instance, instance, value)
         self._advance()
+
+    def offer_run(self, group_id: int, first: int, last: int, value: ProposalValue) -> None:
+        """Feed ordered instances ``first..last`` of ``group_id``, all deciding ``value``.
+
+        Equivalent to offering each instance in turn; a skip run is queued
+        and consumed as one run.
+        """
+        if first == last or value.payload is not SKIP:
+            for instance in range(first, last + 1):
+                self.offer(group_id, instance, value)
+            return
+        queue = self._queues.get(group_id)
+        if queue is None:
+            raise KeyError(f"not subscribed to group {group_id}")
+        self._enqueue(queue, first, last, value)
+        self._advance()
+
+    @staticmethod
+    def _enqueue(queue: Deque[Tuple[int, int, ProposalValue]], first: int, last: int, value: ProposalValue) -> None:
+        if value.payload is SKIP and queue:
+            tail_first, tail_last, tail = queue[-1]
+            if tail.payload is SKIP and tail_last + 1 == first:
+                # Skips deliver nothing: consecutive ones merge into one run.
+                queue[-1] = (tail_first, last, tail)
+                return
+        queue.append((first, last, value))
 
     def subscribe(self, group_id: int) -> None:
         """Add a subscription (takes effect for subsequent rounds)."""
@@ -752,17 +875,62 @@ class DeterministicMerger:
     # -------------------------------------------------------------- merging
     def _advance(self) -> None:
         """Deliver as much as possible while the current ring has input."""
+        groups = self._groups
+        m = self._m
         while True:
-            group = self._groups[self._current_index]
+            group = groups[self._current_index]
             queue = self._queues[group]
             if not queue:
                 return
-            instance, value = queue.popleft()
-            self._emit(group, instance, value)
-            self._consumed_in_round += 1
-            if self._consumed_in_round >= self._m:
+            first, last, value = queue[0]
+            if value.payload is not SKIP:
+                queue.popleft()
+                self._emit(group, first, value)
+                consumed = self._consumed_in_round + 1
+            elif self._consumed_in_round == 0 and self._skip_rounds():
+                continue
+            else:
+                take = min(last - first + 1, m - self._consumed_in_round)
+                if first + take > last:
+                    queue.popleft()
+                else:
+                    queue[0] = (first + take, last, value)
+                self._skipped += take
+                consumed = self._consumed_in_round + take
+            if consumed >= m:
                 self._consumed_in_round = 0
-                self._current_index = (self._current_index + 1) % len(self._groups)
+                self._current_index = (self._current_index + 1) % len(groups)
+            else:
+                self._consumed_in_round = consumed
+
+    def _skip_rounds(self) -> bool:
+        """Consume whole rounds at once if every ring's head is a skip run.
+
+        Called where a ring's turn starts: a whole round from here visits
+        every ring once, ``M`` instances each, and ends where it began.
+        """
+        m = self._m
+        rounds = -1
+        for queue in self._queues.values():
+            if not queue:
+                return False
+            first, last, value = queue[0]
+            if value.payload is not SKIP:
+                return False
+            available = (last - first + 1) // m
+            if rounds < 0 or available < rounds:
+                rounds = available
+        if rounds <= 0:
+            return False
+        take = rounds * m
+        for queue in self._queues.values():
+            first, last, value = queue[0]
+            if first + take > last:
+                queue.popleft()
+            else:
+                queue[0] = (first + take, last, value)
+        self._skipped += take * len(self._queues)
+        return True
 
     def _emit(self, group: int, instance: int, value: ProposalValue) -> None:
         # Runs once per consumed instance: test the payload sentinel directly
@@ -808,7 +976,7 @@ class DeterministicMerger:
 
     def pending(self, group_id: int) -> int:
         """Instances queued for ``group_id`` not yet consumed by the merge."""
-        return len(self._queues[group_id])
+        return sum(last - first + 1 for first, last, _ in self._queues[group_id])
 
     def is_round_boundary(self) -> bool:
         """Whether the merge sits exactly at the start of a round.
@@ -832,6 +1000,9 @@ class DeterministicMerger:
                 continue
             queue = self._queues[group]
             while queue and queue[0][0] <= up_to:
-                queue.popleft()
+                first, last, value = queue.popleft()
+                if last > up_to:
+                    queue.appendleft((up_to + 1, last, value))
+                    break
         self._current_index = 0
         self._consumed_in_round = 0

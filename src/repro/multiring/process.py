@@ -19,9 +19,13 @@ from ..paxos.messages import ProposalValue, TrimQuery, TrimReport
 from ..ringpaxos.node import RingNode, RingNodeConfig
 from ..sim.actor import Actor, Environment
 from ..sim.disk import Disk
-from .merge import DeterministicMerger, RingSegment, RingSegmentBuffer
+from .merge import DeterministicMerger, RingSegment, RingSegmentBuffer, RunEntries
 
 __all__ = ["MultiRingProcess"]
+
+#: ``(ring_id, first, last, value)``: instances ``first..last`` of a ring,
+#: all deciding ``value`` (a single instance has ``first == last``).
+RunSink = Callable[[int, int, int, ProposalValue], None]
 
 
 class MultiRingProcess(Actor):
@@ -49,7 +53,7 @@ class MultiRingProcess(Actor):
         self._node_disks: Dict[int, Optional[Disk]] = {}
         self._merger: Optional[DeterministicMerger] = None
         self._delivered_per_group: Dict[int, int] = {}
-        self._ring_tap: Optional[Callable[[int, int, ProposalValue], None]] = None
+        self._ring_tap: Optional[RunSink] = None
         #: Crash/restart count — segments recorded by this process carry it
         #: so downstream merge cursors can dedup re-emitted stream prefixes.
         self.incarnation = 0
@@ -103,23 +107,25 @@ class MultiRingProcess(Actor):
         """The deterministic merger (``None`` for non-learners)."""
         return self._merger
 
-    def _ordered_sink(self) -> Callable[[int, int, ProposalValue], None]:
-        """Callback ring learners emit into.
+    def _ordered_sinks(self) -> Tuple[Callable[[int, int, ProposalValue], None], RunSink]:
+        """Callbacks ring learners emit single instances and runs into.
 
         Without a streaming tap the per-ring ordered stream goes straight to
         the merger — same calls, one frame less per ordered instance.  With a
         tap (sharded streaming) or without a merger the general
-        :meth:`_on_ring_ordered` stays in the path.
+        :meth:`_on_ring_ordered` / :meth:`_on_ring_ordered_run` stay in the
+        path.
         """
         if self._ring_tap is None and self._merger is not None:
-            return self._merger.offer
-        return self._on_ring_ordered
+            return self._merger.offer, self._merger.offer_run
+        return self._on_ring_ordered, self._on_ring_ordered_run
 
     def _rewire_ordered_sinks(self) -> None:
-        sink = self._ordered_sink()
+        sink, run_sink = self._ordered_sinks()
         for node in self._nodes.values():
             if node.learner is not None:
                 node.learner._on_ordered = sink
+                node.learner._on_ordered_run = run_sink
 
     # ----------------------------------------------------------------- start
     def on_start(self) -> None:
@@ -139,14 +145,13 @@ class MultiRingProcess(Actor):
         return self._nodes[group_id].propose(payload, size_bytes)
 
     # -------------------------------------------------------------- delivery
-    def tap_ring_streams(
-        self, sink: Callable[[int, int, ProposalValue], None]
-    ) -> None:
+    def tap_ring_streams(self, sink: RunSink) -> None:
         """Observe every per-ring ordered instance *before* the merge.
 
-        ``sink(ring_id, instance, value)`` fires for each instance a ring
-        learner emits, skips included — exactly the stream the merge stage
-        consumes.  This is the streaming tap of sharded execution: pointed at
+        ``sink(ring_id, first, last, value)`` fires for each run a ring
+        learner emits — a single instance, or a decided skip range as one
+        run — exactly the stream the merge stage consumes.  This is the
+        streaming tap of sharded execution: pointed at
         a :class:`~repro.multiring.merge.RingSegmentBuffer` (see
         :meth:`record_ring_segments`) it emits the decision-stream segments
         shipped through barriers to a parent-side
@@ -171,16 +176,17 @@ class MultiRingProcess(Actor):
         buffer = RingSegmentBuffer() if into is None else into
         buffer.subscribe(self.subscribed_groups())
         self._segment_buffers.append(buffer)
-        self.tap_ring_streams(buffer.append)
+        self.tap_ring_streams(buffer.append_run)
         return buffer
 
     def record_ring_streams(
-        self, into: Optional[Dict[int, List[Tuple[int, ProposalValue]]]] = None
-    ) -> Dict[int, List[Tuple[int, ProposalValue]]]:
+        self, into: Optional[Dict[int, RunEntries]] = None
+    ) -> Dict[int, RunEntries]:
         """Install a tap that records the whole-run per-ring streams.
 
-        Returns the mapping ``ring_id → [(instance, value), ...]`` (skips
-        included) that :func:`repro.multiring.merge.replay_streams` consumes;
+        Returns the mapping ``ring_id → RunEntries`` (the ordered
+        ``(instance, value)`` stream, skip runs folded) that
+        :func:`repro.multiring.merge.replay_streams` consumes;
         it fills in as the simulation runs.  ``into`` lets several processes
         share one sink.  The offline counterpart of
         :meth:`record_ring_segments` — use it when the merge happens after
@@ -188,8 +194,11 @@ class MultiRingProcess(Actor):
         """
         streams = {} if into is None else into
 
-        def sink(ring_id: int, instance: int, value: ProposalValue) -> None:
-            streams.setdefault(ring_id, []).append((instance, value))
+        def sink(ring_id: int, first: int, last: int, value: ProposalValue) -> None:
+            stream = streams.get(ring_id)
+            if stream is None:
+                stream = streams[ring_id] = RunEntries()
+            stream.append_run(first, last, value)
 
         self.tap_ring_streams(sink)
         return streams
@@ -213,11 +222,11 @@ class MultiRingProcess(Actor):
         """
         history = {} if into is None else into
 
-        def sink(ring_id: int, instance: int, value: ProposalValue) -> None:
+        def sink(ring_id: int, first: int, last: int, value: ProposalValue) -> None:
             runs = history.setdefault(ring_id, [])
             if not runs or runs[-1].incarnation != self.incarnation:
                 runs.append(RingSegment(incarnation=self.incarnation))
-            runs[-1].entries.append((instance, value))
+            runs[-1].entries.append_run(first, last, value)
 
         self.tap_ring_streams(sink)
         return history
@@ -226,10 +235,19 @@ class MultiRingProcess(Actor):
         """Ordered per-ring output from a ring learner, fed to the merger."""
         tap = self._ring_tap
         if tap is not None:
-            tap(ring_id, instance, value)
+            tap(ring_id, instance, instance, value)
         if self._merger is None:
             return
         self._merger.offer(ring_id, instance, value)
+
+    def _on_ring_ordered_run(self, ring_id: int, first: int, last: int, value: ProposalValue) -> None:
+        """An ordered run (a decided skip range) from a ring learner."""
+        tap = self._ring_tap
+        if tap is not None:
+            tap(ring_id, first, last, value)
+        if self._merger is None:
+            return
+        self._merger.offer_run(ring_id, first, last, value)
 
     def _deliver(self, group_id: int, instance: int, value: ProposalValue) -> None:
         self._delivered_per_group[group_id] = instance
@@ -309,6 +327,6 @@ class MultiRingProcess(Actor):
         for node in self._nodes.values():
             node.recover()
             if node.is_learner:
-                node.learner = type(node.learner)(node.ring_id, self._ordered_sink())
+                node.learner = type(node.learner)(node.ring_id, *self._ordered_sinks())
         for node in self._nodes.values():
             node.start()

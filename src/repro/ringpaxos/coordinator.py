@@ -221,8 +221,12 @@ class CoordinatorState:
         if self.rate_policy is None:
             self._proposed_in_interval = 0
             return 0
-        expected = self.rate_policy.expected_per_interval
-        skips = max(0, int(round(expected)) - self._proposed_in_interval)
+        # Imported here: the multiring package imports this module.
+        from ..multiring.ratelevel import RateLeveler
+
+        # The rule itself only reads ``expected_per_interval``, so it applies
+        # to any policy object exposing it.
+        skips = RateLeveler.skips_needed(self.rate_policy, self._proposed_in_interval)
         self._proposed_in_interval = 0
         return skips
 
@@ -233,12 +237,8 @@ class CoordinatorState:
         """
         if count <= 0:
             raise ValueError("skip count must be positive")
-        first = self.ledger.allocate()
-        last = first
-        for _ in range(count - 1):
-            last = self.ledger.allocate()
         self._total_skipped += count
-        return first, last
+        return self.ledger.allocate_range(count)
 
     @staticmethod
     def skip_value() -> ProposalValue:

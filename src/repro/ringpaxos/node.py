@@ -87,12 +87,6 @@ class RingNodeConfig:
         instances it is missing — this is how learners catch up after a
         network partition dropped circulating decisions (the chaos harness
         switches it on for every fault scenario).
-    learner_batch_drain:
-        Run the learner's in-order drain in contiguous-run batches (one
-        decided-map probe pass per run instead of per instance).  Delivery
-        order is identical either way; the flag exists so the default path
-        stays byte-for-byte the code the frozen differentials were anchored
-        on.  Enabled by the batching configurations.
     """
 
     storage_mode: StorageMode = StorageMode.IN_MEMORY
@@ -103,7 +97,6 @@ class RingNodeConfig:
     trim_interval: Optional[float] = None
     trim_quorum: Optional[int] = None
     gap_repair_interval: Optional[float] = None
-    learner_batch_drain: bool = False
 
     def __post_init__(self) -> None:
         if self.cpu_model is None:
@@ -147,11 +140,7 @@ class RingNode:
 
         self.learner: Optional[RingLearner] = None
         if self.is_learner:
-            self.learner = RingLearner(
-                overlay.ring_id,
-                on_deliver or (lambda *a: None),
-                batch_drain=self.config.learner_batch_drain,
-            )
+            self.learner = RingLearner(overlay.ring_id, on_deliver or (lambda *a: None))
 
         self.coordinator: Optional[CoordinatorState] = None
         self._trim_reports: Dict[str, int] = {}
@@ -402,8 +391,10 @@ class RingNode:
             span=span,
         )
         if self.is_learner and self.learner is not None:
-            for i in range(instance, instance + span):
-                self.learner.observe_value(i, value)
+            if span == 1:
+                self.learner.observe_value(instance, value)
+            else:
+                self.learner.observe_value_run(instance, message.last_instance, value)
         assert self.acceptor is not None
 
         # The bound method + args tuple replaces a per-vote closure: this runs
@@ -514,11 +505,11 @@ class RingNode:
     def _handle_phase2(self, sender: str, message: Phase2Ring) -> bool:
         if self.is_learner and self.learner is not None and message.value is not None:
             if message.span == 1:
-                # Almost every message covers one instance; skip the range.
                 self.learner.observe_value(message.instance, message.value)
             else:
-                for instance in range(message.instance, message.last_instance + 1):
-                    self.learner.observe_value(instance, message.value)
+                self.learner.observe_value_run(
+                    message.instance, message.last_instance, message.value
+                )
 
         if self.is_acceptor and self.acceptor is not None and message.value is not None:
             # Append the vote in place and keep circulating the *same* object:
@@ -588,15 +579,21 @@ class RingNode:
             if self._is_coordinator and self.coordinator is not None:
                 self.coordinator.ledger.observe_instance(instance)
             return
-        last_instance = message.last_instance
-        for instance in range(message.instance, last_instance + 1):
-            value = message.value
-            if value is None and self.acceptor is not None:
-                value = self.acceptor.accepted_value(instance)
+        # A decided range (a skip range) is recorded and learned as one run.
+        first, last_instance = message.instance, message.last_instance
+        if message.value is None and self.acceptor is not None:
+            # A bare range decision resolves instance by instance from this
+            # acceptor's own votes.
+            runs = [
+                (i, i, self.acceptor.accepted_value(i)) for i in range(first, last_instance + 1)
+            ]
+        else:
+            runs = [(first, last_instance, message.value)]
+        for run_first, run_last, value in runs:
             if acceptor is not None and value is not None:
-                acceptor.record_decision(instance, value)
+                acceptor.record_decision_range(run_first, run_last, value)
             if learner is not None:
-                learner.observe_decision(instance, value)
+                learner.observe_decision_run(run_first, run_last, value)
         if self._is_coordinator and self.coordinator is not None:
             self.coordinator.ledger.observe_instance(last_instance)
 
@@ -738,9 +735,7 @@ class RingNode:
         if not self.coordinator.phase1_ready:
             return
         acceptor = self.acceptor
-        cursor = max(self._hole_cursor, acceptor.trimmed_up_to + 1)
-        while acceptor.is_decided(cursor):
-            cursor += 1
+        cursor = acceptor.first_undecided(max(self._hole_cursor, acceptor.trimmed_up_to + 1))
         stalled = cursor == self._hole_cursor_prev
         self._hole_cursor_prev = cursor
         self._hole_cursor = cursor
@@ -750,9 +745,11 @@ class RingNode:
         if highest <= cursor:
             return
         repaired = 0
-        for instance in range(cursor, highest):
-            if acceptor.is_decided(instance):
-                continue
+        instance = cursor
+        while True:
+            instance = acceptor.first_undecided(instance)
+            if instance >= highest:
+                break
             value = acceptor.accepted_value(instance)
             if value is None:
                 # This coordinator never voted for the instance (state lost
@@ -760,6 +757,7 @@ class RingNode:
                 # so a skip closes the hole safely.
                 value = CoordinatorState.skip_value()
             self._emit_phase2(instance, value, span=1)
+            instance += 1
             repaired += 1
             if repaired >= 512:
                 break  # bound the burst; the next tick continues

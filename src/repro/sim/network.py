@@ -105,9 +105,9 @@ def message_size(message: Any, default: int = 128) -> int:
 # wasteful: every slotted dataclass instance ships its class-resolution
 # machinery *and* a per-instance state dict (``{'field': value, ...}``) whose
 # key strings repeat for every message in the window.  The wire codec strips
-# that down to a positional tuple per instance:
+# that down to one flat positional argument tuple per instance:
 #
-#     (_wire_build, (cls, (value0, value1, ...)))
+#     (_wire_build, (cls, value0, value1, ...))
 #
 # Classes opt in with :func:`register_wire_type` (typically right below their
 # definition); the field order is frozen at registration, so both sides of a
@@ -143,7 +143,7 @@ def register_wire_reducer(cls: type, reduce_fn: Any) -> type:
     ``reduce_fn(obj)`` must return a pickle-style ``(callable, args)`` pair
     whose callable is an importable module-level function (it travels by
     reference).  Use this when a class benefits from structure-aware encoding
-    beyond the generic positional tuple — e.g. run-length compression of
+    beyond the generic positional tuple — e.g. a columnar form of
     repetitive collections.  Decoding stays plain ``pickle.loads``.
     """
     _WIRE_REDUCERS[cls] = reduce_fn
@@ -172,8 +172,8 @@ def wire_fields(cls: type) -> Optional[Tuple[str, ...]]:
     return _WIRE_FIELDS.get(cls)
 
 
-def _wire_build(cls: type, values: Tuple[Any, ...]) -> Any:
-    """Rebuild a registered instance from its positional field tuple."""
+def _wire_build(cls: type, *values: Any) -> Any:
+    """Rebuild a registered instance from its positional field values."""
     names = _WIRE_FIELDS.get(cls)
     if names is None:
         # The defining module registered the class at import time and the
@@ -194,7 +194,7 @@ class _WirePickler(pickle.Pickler):
     """Pickler whose reducer hook swaps registered classes to tuple form.
 
     Beyond the identity interning the pickle memo already provides, the
-    reducer interns the ``(cls, values)`` argument tuple of *equal* instances
+    reducer interns the ``(cls, *values)`` argument tuple of *equal* instances
     whose fields are all hashable: the second equal instance encodes as a
     back-reference to the first one's argument tuple (a few bytes) instead of
     repeating every field.  Rate-leveled skip streams are the extreme case —
@@ -206,7 +206,7 @@ class _WirePickler(pickle.Pickler):
 
     def __init__(self, *args: Any, **kwargs: Any) -> None:
         super().__init__(*args, **kwargs)
-        self._interned: Dict[Tuple[type, Tuple[Any, ...]], Tuple[Any, ...]] = {}
+        self._interned: Dict[Tuple[Any, ...], Tuple[Any, ...]] = {}
 
     def reducer_override(self, obj: Any) -> Any:  # noqa: D102 - pickle hook
         cls = obj.__class__
@@ -216,14 +216,15 @@ class _WirePickler(pickle.Pickler):
         names = _WIRE_FIELDS.get(cls)
         if names is None:
             return NotImplemented
-        values = tuple(getattr(obj, name) for name in names)
+        args = (cls, *[getattr(obj, name) for name in names])
         try:
-            key = (cls, values)
-            args = self._interned.get(key)
-            if args is None:
-                self._interned[key] = args = key
+            interned = self._interned.get(args)
+            if interned is None:
+                self._interned[args] = args
+            else:
+                args = interned
         except TypeError:  # unhashable field (lists, batches): no interning
-            args = (cls, values)
+            pass
         return _wire_build, args
 
 

@@ -400,14 +400,21 @@ class _ShardSet:
 _NO_INBOUND: Dict[int, List[RemoteMessage]] = {}
 
 
-def _worker_main(conn, specs: Sequence[ShardSpec], wire_codec: bool = True) -> None:
+def _worker_main(
+    conn, specs: Sequence[ShardSpec], wire_codec: bool = True, inherited: Sequence[Any] = ()
+) -> None:
     """Entry point of one worker process: build shards, serve barrier rounds.
+
+    ``inherited`` are the parent-side pipe ends a forked worker inherited;
+    they are closed first so the worker sees EOF when the parent closes.
 
     Frames every reply as one explicit byte blob (``send_bytes``) so the
     parent can count IPC volume exactly; the payload encoding is the compact
     wire codec (default) or plain default-protocol pickling (the codec
     differential's legacy baseline).
     """
+    for end in inherited:
+        end.close()
     dumps = encode_wire if wire_codec else pickle.dumps
     loads = pickle.loads
     try:
@@ -1026,8 +1033,13 @@ def _run_multiprocess(
     try:
         for worker_specs in assignment:
             parent_conn, child_conn = ctx.Pipe()
+            # A forked worker inherits the parent's end of its own pipe and of
+            # every earlier worker's; it closes them first, or a dead peer's
+            # survivors would never see EOF once the parent lets go.
+            inherited = tuple(pipes) + (parent_conn,) if ctx.get_start_method() == "fork" else ()
             proc = ctx.Process(
-                target=_worker_main, args=(child_conn, worker_specs, wire_codec)
+                target=_worker_main,
+                args=(child_conn, worker_specs, wire_codec, inherited),
             )
             proc.daemon = True
             proc.start()

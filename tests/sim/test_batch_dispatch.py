@@ -1,10 +1,11 @@
-"""Kernel same-actor batch dispatch and learner batch drain: differentials.
+"""Kernel same-actor batch dispatch and the learner's run drain: differentials.
 
 The event-run dispatch (``Simulator(batch_dispatch=True)`` drains consecutive
-heap entries destined for one actor in a single pass) and the learner-side
-batch drain are pure mechanical optimisations: every differential here pins
-the executed sequence, clock and protocol-level deliveries to the default
-paths — and, with batching off, to the frozen seed substrate.
+heap entries destined for one actor in a single pass) and the learner's
+run drain (a decided skip range emitted as one run) are pure mechanical
+optimisations: every differential here pins the executed sequence, clock and
+protocol-level deliveries to the per-item paths — and, with batching off, to
+the frozen seed substrate.
 """
 
 import random
@@ -132,32 +133,44 @@ class TestBatchDispatchStack:
         assert all(len(d) > 0 for d in fast)
 
 
-def _feed_learner(batch_drain: bool, seed: int):
-    """Feed a shuffled decision sequence; return the emission order."""
+def _feed_learner(runs: bool, seed: int):
+    """Feed a shuffled decision sequence; return the per-instance emission order.
+
+    Every decision is a stretch of consecutive instances: a single value or
+    a skip range.  ``runs`` decides skip ranges as one run each; otherwise
+    every instance is decided on its own.
+    """
     rng = random.Random(seed)
     emitted = []
     learner = RingLearner(
         0, lambda ring, inst, value: emitted.append((inst, value.payload)),
-        batch_drain=batch_drain,
     )
-    instances = list(range(60))
-    rng.shuffle(instances)
-    for inst in instances:
-        payload = SKIP if rng.random() < 0.2 else f"v{inst}"
-        learner.observe_decision(
-            inst, ProposalValue(payload=payload, size_bytes=64, proposer="p0",
-                                proposal_id=inst),
-        )
+    stretches = []
+    instance = 0
+    while instance < 60:
+        span = rng.randint(2, 6) if rng.random() < 0.3 else 1
+        payload = SKIP if span > 1 else f"v{instance}"
+        stretches.append((instance, instance + span - 1, payload))
+        instance += span
+    rng.shuffle(stretches)
+    for first, last, payload in stretches:
+        value = ProposalValue(payload=payload, size_bytes=64, proposer="p0", proposal_id=first)
+        if runs:
+            learner.observe_decision_run(first, last, value)
+        else:
+            for inst in range(first, last + 1):
+                learner.observe_decision(inst, value)
     return emitted, learner
 
 
-class TestLearnerBatchDrain:
+class TestLearnerRunDrain:
     @pytest.mark.parametrize("seed", [0, 5, 21])
-    def test_emission_order_identical_to_default_drain(self, seed):
+    def test_run_decisions_emit_like_per_instance_decisions(self, seed):
         plain, plain_learner = _feed_learner(False, seed)
         batched, batched_learner = _feed_learner(True, seed)
         assert plain == batched
-        assert len(plain) == 60
+        assert [inst for inst, _ in plain] == list(range(len(plain)))
+        assert len(plain) >= 60
         assert plain_learner.emitted_count == batched_learner.emitted_count
         assert plain_learner.skipped_count == batched_learner.skipped_count
         assert plain_learner.next_to_emit == batched_learner.next_to_emit

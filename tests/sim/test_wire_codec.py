@@ -2,7 +2,7 @@
 
 The codec's contract: ``decode_wire(encode_wire(x)) == x`` for every payload
 the barrier plane ships — registered protocol dataclasses in positional tuple
-form, the ``RingSegment`` columnar/run-length form, and arbitrary unregistered
+form, the ``RingSegment`` columnar run form, and arbitrary unregistered
 objects via pickle's default path — while never aliasing distinct mutable
 instances on the receiving side and always preserving the ``SKIP`` sentinel's
 identity.
@@ -125,10 +125,10 @@ def test_roundtrip_equals_original(payload):
 def test_segment_wire_form_roundtrip(segment):
     decoded = decode_wire(encode_wire(segment))
     assert decoded == segment
-    # Run-length expansion must never alias: distinct entries stay distinct
-    # objects, safe for consumers that mutate delivered values in place.
-    ids = {id(value) for _, value in decoded.entries}
-    assert len(ids) == len(decoded.entries)
+    # Decoding must never alias: distinct runs stay distinct objects, safe
+    # for consumers that mutate delivered values in place.
+    ids = {id(value) for _, _, value in decoded.entries.runs}
+    assert len(ids) == len(decoded.entries.runs)
 
 
 def test_skip_identity_survives_the_wire():
@@ -163,7 +163,8 @@ def test_segment_consecutive_instances_compress():
     dense = RingSegment(
         entries=[(i, ProposalValue(SKIP, 0, "", 0, 0.0)) for i in range(1000)]
     )
-    assert len(encode_wire(dense)) < len(pickle.dumps(dense)) / 10
+    # A skip run ships as one run, not as the per-instance list it stands for.
+    assert len(encode_wire(dense)) < len(pickle.dumps(list(dense.entries))) / 10
     # Non-consecutive numbering still round-trips exactly.
     sparse = RingSegment(
         entries=[(i * 3 + 1, ProposalValue(SKIP, 0, "", 0, 0.0)) for i in range(10)]
