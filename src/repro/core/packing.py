@@ -12,10 +12,11 @@ Two batching layers can wrap the commands a replica ultimately executes:
 
 Every consumer that looks inside a decided value — the merger's emit path,
 the SMR apply path, the chaos oracle's expected-order digests and the
-sharded engine's payload identities — needs the same unpacking rules.  This
-module is the single implementation; the ``isinstance(payload,
-PackedValues)`` checks that used to be copied across those layers all route
-here now.
+sharded engine's payload identities — needs the same unpacking rules.  The
+leaf walk itself (:func:`iter_values`, :func:`iter_payloads`) lives next to
+``PackedValues`` in :mod:`repro.ringpaxos.coordinator`, below the merge
+stage in the import graph; this module re-exports those same functions and
+adds the command-level views that need :mod:`repro.core.client`.
 
 The unpacking is recursive: a ``PackedValues`` of ``PackedValues`` (which a
 re-proposed repaired instance can in principle produce) flattens all the way
@@ -25,10 +26,10 @@ skips.
 
 from __future__ import annotations
 
-from typing import Any, Iterator, List, Tuple
+from typing import Any, List, Tuple
 
-from ..paxos.messages import SKIP, ProposalValue
-from ..ringpaxos.coordinator import PackedValues
+from ..paxos.messages import ProposalValue
+from ..ringpaxos.coordinator import PackedValues, iter_payloads, iter_values
 from .client import Command, CommandBatch
 
 __all__ = [
@@ -40,53 +41,20 @@ __all__ = [
 ]
 
 
-def iter_values(value: ProposalValue) -> Iterator[ProposalValue]:
-    """The leaf :class:`ProposalValue`\\ s inside one decided value.
-
-    A plain value yields itself; a value whose payload is
-    :class:`PackedValues` yields every constituent value, recursively.  Each
-    leaf keeps its original ``(proposer, proposal_id, created_at)`` metadata,
-    which is what lets clients match acks and account per-command latency
-    after packing.
-    """
-    payload = value.payload
-    if isinstance(payload, PackedValues):
-        for inner in payload.values:
-            yield from iter_values(inner)
-    else:
-        yield value
-
-
-def iter_payloads(payload: Any) -> Iterator[Any]:
-    """The leaf application payloads inside ``payload``, skips dropped.
-
-    Mirrors the merger's emit rules: a skip delivers nothing, a packed
-    payload delivers each constituent payload in pack order (recursively),
-    anything else delivers itself.  Command batches are *not* opened here —
-    a batch is one application payload; use :func:`iter_commands` for the
-    command level.
-    """
-    if payload is SKIP:
-        return
-    if isinstance(payload, PackedValues):
-        for inner in payload.values:
-            yield from iter_payloads(inner.payload)
-    else:
-        yield payload
-
-
-def iter_commands(payload: Any) -> Iterator[Command]:
+def iter_commands(payload: Any) -> List[Command]:
     """Every :class:`Command` inside ``payload``, in delivery order.
 
     Opens both batching layers — ``PackedValues`` recursively (via
     :func:`iter_payloads`) and ``CommandBatch`` — and drops anything that is
     not a command (skips, opaque benchmark payloads).
     """
+    commands: List[Command] = []
     for leaf in iter_payloads(payload):
         if isinstance(leaf, CommandBatch):
-            yield from leaf.commands
+            commands.extend(leaf.commands)
         elif isinstance(leaf, Command):
-            yield leaf
+            commands.append(leaf)
+    return commands
 
 
 def packed_proposal_ids(value: ProposalValue) -> List[Tuple[str, int]]:

@@ -54,23 +54,8 @@ from typing import (
 
 from ..paxos.messages import SKIP, ProposalValue
 from ..paxos.runs import RunMap
-from ..ringpaxos.coordinator import PackedValues
+from ..ringpaxos.coordinator import PackedValues, iter_values
 from ..sim.network import register_wire_reducer
-
-
-def _iter_leaf_values(value: ProposalValue):
-    """Resolve :func:`repro.core.packing.iter_values` on first use.
-
-    The merge stage sits below :mod:`repro.core` in the import graph
-    (``core.smr`` imports this module), so the shared unpacker cannot be
-    imported at module load without a package cycle.  The first call swaps
-    this stub for the real function, so the hot path pays nothing after
-    that.
-    """
-    global _iter_leaf_values
-    from ..core.packing import iter_values as _iter_leaf_values
-
-    return _iter_leaf_values(value)
 
 
 __all__ = [
@@ -943,7 +928,7 @@ class DeterministicMerger:
             # Shared recursive unpacker: every leaf value of the packed
             # instance (packs of packs included) is delivered under the one
             # instance that ordered it, skips inside the pack excluded.
-            for packed in _iter_leaf_values(value):
+            for packed in iter_values(value):
                 if packed.payload is SKIP:
                     self._skipped += 1
                     continue

@@ -31,7 +31,13 @@ from ..paxos.instance import InstanceLedger
 from ..paxos.messages import SKIP, ProposalValue
 from ..sim.network import register_wire_type
 
-__all__ = ["CoordinatorState", "InstanceBatchPolicy", "PackedValues"]
+__all__ = [
+    "CoordinatorState",
+    "InstanceBatchPolicy",
+    "PackedValues",
+    "iter_payloads",
+    "iter_values",
+]
 
 
 @dataclass
@@ -41,8 +47,8 @@ class PackedValues:
     Every constituent :class:`ProposalValue` is kept intact — its
     ``(proposer, proposal_id, created_at)`` metadata survives packing, so
     client ack matching and per-command latency accounting keep working after
-    the merge layer unpacks the instance (see :mod:`repro.core.packing` for
-    the shared recursive unpacker).
+    the merge layer unpacks the instance (see :func:`iter_values`, the shared
+    unpacker).
     """
 
     values: List[ProposalValue] = field(default_factory=list)
@@ -67,6 +73,57 @@ class PackedValues:
 # Packed instances travel inside cross-shard decision streams: ship them in
 # positional tuple form (see :func:`repro.sim.network.register_wire_type`).
 register_wire_type(PackedValues)
+
+
+# The leaf walk lives next to ``PackedValues`` so that every layer above —
+# the merge stage, the SMR apply path, the chaos oracle — can import it at
+# module load.  It runs once per delivered instance, so it builds a list: a
+# flat pack (the only shape this coordinator builds) is one loop over
+# ``PackedValues.values``, and only an inner value that is itself a pack
+# recurses.  :mod:`repro.core.packing` re-exports both functions.
+
+
+def iter_values(value: ProposalValue) -> List[ProposalValue]:
+    """The leaf :class:`ProposalValue`\\ s inside one decided value.
+
+    A plain value yields itself; a value whose payload is
+    :class:`PackedValues` yields every constituent value, recursively.  Each
+    leaf keeps its original ``(proposer, proposal_id, created_at)`` metadata,
+    which is what lets clients match acks and account per-command latency
+    after packing.  Skips inside a pack are leaves too.
+    """
+    payload = value.payload
+    if not isinstance(payload, PackedValues):
+        return [value]
+    leaves: List[ProposalValue] = []
+    for inner in payload.values:
+        if isinstance(inner.payload, PackedValues):
+            leaves.extend(iter_values(inner))
+        else:
+            leaves.append(inner)
+    return leaves
+
+
+def iter_payloads(payload: Any) -> List[Any]:
+    """The leaf application payloads inside ``payload``, skips dropped.
+
+    Mirrors the merger's emit rules: a skip delivers nothing, a packed
+    payload delivers each constituent payload in pack order (recursively),
+    anything else delivers itself.  Command batches are *not* opened here —
+    a batch is one application payload.
+    """
+    if payload is SKIP:
+        return []
+    if not isinstance(payload, PackedValues):
+        return [payload]
+    leaves: List[Any] = []
+    for inner in payload.values:
+        leaf = inner.payload
+        if isinstance(leaf, PackedValues):
+            leaves.extend(iter_payloads(leaf))
+        elif leaf is not SKIP:
+            leaves.append(leaf)
+    return leaves
 
 
 @dataclass
@@ -129,6 +186,9 @@ class CoordinatorState:
         self.phase1_ready = False
         self._phase1_promises: Dict[str, bool] = {}
         self._pending: Deque[ProposalValue] = deque()
+        #: Sum of ``size_bytes`` over ``_pending``: decides the batch hold
+        #: without walking the queue.
+        self._pending_bytes = 0
         self._proposed_in_interval = 0
         self._total_proposed = 0
         self._total_skipped = 0
@@ -149,6 +209,7 @@ class CoordinatorState:
     def enqueue(self, value: ProposalValue) -> None:
         """Queue a value for ordering (buffered until Phase 1 completes)."""
         self._pending.append(value)
+        self._pending_bytes += value.size_bytes
 
     def has_pending(self) -> bool:
         """Whether values are waiting to be assigned instances."""
@@ -175,31 +236,31 @@ class CoordinatorState:
         """
         if not self.phase1_ready:
             return []
+        pending = self._pending
         assignments: List[Tuple[int, ProposalValue]] = []
         if not self.batch_policy.enabled:
-            while self._pending:
-                value = self._pending.popleft()
-                assignments.append((self.ledger.allocate(), value))
+            while pending:
+                assignments.append((self.ledger.allocate(), pending.popleft()))
+            self._pending_bytes = 0
         else:
             max_bytes = self.batch_policy.max_bytes
-            while self._pending:
+            # Without ``force`` only full batches leave.  Once fewer than
+            # ``max_bytes`` are pending, the rest would all fit one partial
+            # batch, which is held for the delay trigger: stop without
+            # touching it, so a held value costs nothing per enqueue.
+            while pending and (force or self._pending_bytes >= max_bytes):
                 group: List[ProposalValue] = []
                 size = 0
-                while self._pending and (
-                    size + self._pending[0].size_bytes <= max_bytes or not group
-                ):
-                    value = self._pending.popleft()
+                while pending and (size + pending[0].size_bytes <= max_bytes or not group):
+                    value = pending.popleft()
                     group.append(value)
                     size += value.size_bytes
-                if not force and not self._pending and size < max_bytes:
-                    # Partial trailing batch: hold it for the delay trigger.
-                    self._pending.extendleft(reversed(group))
-                    break
+                self._pending_bytes -= size
                 if len(group) == 1:
                     packed = group[0]
                 else:
                     packed = ProposalValue(
-                        payload=PackedValues(values=list(group)),
+                        payload=PackedValues(values=group),
                         size_bytes=size,
                         proposer=group[0].proposer,
                         proposal_id=group[0].proposal_id,
