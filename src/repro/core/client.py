@@ -33,7 +33,10 @@ __all__ = [
     "CommandBatcher",
     "ClosedLoopClient",
     "OpenLoopClient",
+    "Outstanding",
     "RequestFactory",
+    "op_label",
+    "settle_response",
 ]
 
 _command_ids = itertools.count(1)
@@ -147,6 +150,42 @@ class CommandBatcher:
         return self._pending_bytes.get(group_id, 0)
 
 
+#: One outstanding logical request: the groups whose reply is still awaited,
+#: its submission time, and the op label its per-op latency is filed under.
+Outstanding = Tuple[set, float, str]
+
+
+def op_label(commands: Sequence[Command]) -> str:
+    """The per-op latency label of a logical request (``"read"``, ``"scan-update"``...)."""
+    return "-".join(sorted({c.op for c in commands})) or "noop"
+
+
+def settle_response(
+    outstanding: Dict[int, Outstanding], key: int, message: ClientResponse
+) -> Optional[Outstanding]:
+    """Count one reply against request ``key``; return its entry once complete.
+
+    Every replica of a group answers a command itself: the first reply per
+    awaited group counts, and a reply naming no group answers them all.  A
+    completed request leaves ``outstanding``; duplicates, replies to requests
+    no longer outstanding and replies still short of a group return ``None``.
+    """
+    entry = outstanding.get(key)
+    if entry is None:
+        return None
+    pending = entry[0]
+    result = message.result
+    group_id = result.get("group_id") if isinstance(result, dict) else None
+    if group_id is not None:
+        pending.discard(group_id)
+    else:
+        pending.clear()
+    if pending:
+        return None
+    del outstanding[key]
+    return entry
+
+
 #: Builds the next command for a closed-loop client; receives the sequence
 #: number of the request and returns the command (or a list of commands for
 #: multi-partition operations) plus the set of groups whose response must be
@@ -195,8 +234,7 @@ class ClosedLoopClient(Actor):
         self._max_requests = max_requests
         self._issued = 0
         self._completed = 0
-        #: per logical request: groups still to answer and submission time
-        self._outstanding: Dict[int, Dict[str, Any]] = {}
+        self._outstanding: Dict[int, Outstanding] = {}
         self._latency = env.metrics.latency(f"{metric_prefix}.latency")
         self._throughput = env.metrics.throughput(f"{metric_prefix}.throughput")
 
@@ -214,18 +252,11 @@ class ClosedLoopClient(Actor):
         sequence = self._issued
         self._issued += 1
         commands, await_groups = self._factory(sequence)
-        request_key = sequence
-        op_label = "-".join(sorted({c.op for c in commands})) or "noop"
-        self._outstanding[request_key] = {
-            "pending_groups": set(await_groups),
-            "submitted_at": self.now,
-            "commands": len(commands),
-            "op": op_label,
-        }
+        self._outstanding[sequence] = (set(await_groups), self.now, op_label(commands))
         for command in commands:
             command.client = self.name
             command.created_at = self.now
-            command.command_id = request_key
+            command.command_id = sequence
             frontend = self._frontends[command.group_id]
             self.send(
                 frontend,
@@ -241,22 +272,14 @@ class ClosedLoopClient(Actor):
     def on_message(self, sender: str, message: Any) -> None:
         if not isinstance(message, ClientResponse):
             return
-        key = message.request_id
-        entry = self._outstanding.get(key)
+        entry = settle_response(self._outstanding, message.request_id, message)
         if entry is None:
-            return  # duplicate response from another replica of the same group
-        group_id = message.result.get("group_id") if isinstance(message.result, dict) else None
-        if group_id is not None:
-            entry["pending_groups"].discard(group_id)
-        else:
-            entry["pending_groups"].clear()
-        if entry["pending_groups"]:
             return
-        del self._outstanding[key]
+        _, submitted_at, op = entry
         self._completed += 1
-        elapsed = self.now - entry["submitted_at"]
+        elapsed = self.now - submitted_at
         self._latency.record(elapsed)
-        self.env.metrics.latency(f"{self._metric_prefix}.latency.{entry['op']}").record(elapsed)
+        self.env.metrics.latency(f"{self._metric_prefix}.latency.{op}").record(elapsed)
         self._throughput.record(1.0)
         self._issue_next()
 
@@ -308,7 +331,7 @@ class OpenLoopClient(Actor):
         self._max_requests = max_requests
         self._issued = 0
         self._completed = 0
-        self._outstanding: Dict[int, Dict[str, Any]] = {}
+        self._outstanding: Dict[int, Outstanding] = {}
         self._latency = env.metrics.latency(f"{metric_prefix}.latency")
         self._throughput = env.metrics.throughput(f"{metric_prefix}.throughput")
 
@@ -321,10 +344,7 @@ class OpenLoopClient(Actor):
         sequence = self._issued
         self._issued += 1
         commands, await_groups = self._factory(sequence)
-        self._outstanding[sequence] = {
-            "pending_groups": set(await_groups),
-            "submitted_at": self.now,
-        }
+        self._outstanding[sequence] = (set(await_groups), self.now, op_label(commands))
         for command in commands:
             command.client = self.name
             command.created_at = self.now
@@ -342,19 +362,11 @@ class OpenLoopClient(Actor):
     def on_message(self, sender: str, message: Any) -> None:
         if not isinstance(message, ClientResponse):
             return
-        entry = self._outstanding.get(message.request_id)
+        entry = settle_response(self._outstanding, message.request_id, message)
         if entry is None:
             return
-        group_id = message.result.get("group_id") if isinstance(message.result, dict) else None
-        if group_id is not None:
-            entry["pending_groups"].discard(group_id)
-        else:
-            entry["pending_groups"].clear()
-        if entry["pending_groups"]:
-            return
-        del self._outstanding[message.request_id]
         self._completed += 1
-        self._latency.record(self.now - entry["submitted_at"])
+        self._latency.record(self.now - entry[1])
         self._throughput.record(1.0)
 
     @property

@@ -105,14 +105,20 @@ class StateMachineReplica(MultiRingProcess):
         groups = self.subscribed_groups()
         if not groups or self._checkpointer is not None:
             return
+        # A learner always has a merger, and a restart replaces both the
+        # merger and (through ``on_crash``) the checkpointer.  Positions come
+        # from the merger — skips included — and a deferred checkpoint is
+        # taken when the merger completes a round, after it consumed the
+        # round's last instance: never from inside a delivery.
+        merger = self.merger
         self._checkpointer = ReplicaCheckpointer(
             store=self.checkpoint_store,
             snapshot_fn=self.snapshot_state,
             group_ids=groups,
-            at_round_boundary=(
-                (lambda: self.merger.is_round_boundary()) if self.merger else (lambda: True)
-            ),
+            at_round_boundary=merger.is_round_boundary,
+            positions=merger.positions,
         )
+        merger.on_round_boundary = self._checkpointer.maybe_take_deferred
 
     def _checkpoint_tick(self) -> None:
         if self._checkpointer is not None and not self._recovering:
@@ -121,7 +127,10 @@ class StateMachineReplica(MultiRingProcess):
     # -------------------------------------------------------------- delivery
     def on_deliver(self, group_id: int, instance: int, value: ProposalValue) -> None:
         payload = value.payload
-        if isinstance(payload, CommandBatch):
+        if payload.__class__ is Command:
+            # The common leaf: one plain command.
+            self._apply_and_respond(group_id, payload)
+        elif isinstance(payload, CommandBatch):
             for command in payload:
                 self._apply_and_respond(group_id, command)
         elif isinstance(payload, Command):
@@ -142,14 +151,10 @@ class StateMachineReplica(MultiRingProcess):
         else:
             # Opaque payload (e.g. the dummy service of the baseline bench).
             self._commands_applied += 1
-        if self._checkpointer is not None:
-            self._checkpointer.mark_delivered(group_id, instance)
-            self._checkpointer.maybe_take_deferred()
 
     def _apply_and_respond(self, group_id: int, command: Command) -> None:
         result = self.apply_command(group_id, command)
         self._commands_applied += 1
-        self.env.metrics.throughput(f"service.{self.name}.ops").record(1.0)
         if self.respond_to_clients and command.client:
             self.send(
                 command.client,

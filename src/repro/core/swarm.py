@@ -51,7 +51,7 @@ from ..net.message import ClientRequest, ClientResponse
 from ..sim.actor import Actor, Environment
 from ..sim.metrics import SloTracker
 from ..workloads.arrival import ArrivalCurve, constant
-from .client import RequestFactory
+from .client import Outstanding, RequestFactory, op_label, settle_response
 
 __all__ = [
     "ChurnSpec",
@@ -251,7 +251,7 @@ class ClientSwarm(Actor):
         self._completed = array("q", bytes(8 * clients))
         self._online = bytearray([1]) * clients
         #: in-flight logical requests keyed by ``sequence * n + index``
-        self._outstanding: Dict[int, Tuple[set, float, str]] = {}
+        self._outstanding: Dict[int, Outstanding] = {}
         #: open mode: shared event-time wheel of (next_fire, client_index)
         self._wheel: List[Tuple[float, int]] = []
         self._armed_for: Optional[float] = None
@@ -324,9 +324,8 @@ class ClientSwarm(Actor):
         self._issued[index] = sequence + 1
         commands, await_groups = self._factory(index, sequence)
         key = sequence * self._n + index
-        op_label = "-".join(sorted({c.op for c in commands})) or "noop"
         now = self.now
-        self._outstanding[key] = (set(await_groups), now, op_label)
+        self._outstanding[key] = (set(await_groups), now, op_label(commands))
         if self._addressing == "ports":
             src = self._ports[index].name
             request_key = sequence  # the id an individual actor would use
@@ -447,24 +446,17 @@ class ClientSwarm(Actor):
         self._complete(key % self._n, key, message)
 
     def _complete(self, index: int, key: int, message: ClientResponse) -> None:
-        entry = self._outstanding.get(key)
+        # ``None`` also when the client churned away meanwhile.
+        entry = settle_response(self._outstanding, key, message)
         if entry is None:
-            return  # duplicate, or the client churned away meanwhile
-        pending, submitted_at, op_label = entry
-        group_id = message.result.get("group_id") if isinstance(message.result, dict) else None
-        if group_id is not None:
-            pending.discard(group_id)
-        else:
-            pending.clear()
-        if pending:
             return
-        del self._outstanding[key]
+        _, submitted_at, op = entry
         self._completed[index] += 1
         elapsed = self.now - submitted_at
         self._latency.record(elapsed)
         if self._mode == "closed":
             self.env.metrics.latency(
-                f"{self._metric_prefix}.latency.{op_label}", sketch=self._sketch
+                f"{self._metric_prefix}.latency.{op}", sketch=self._sketch
             ).record(elapsed)
         self._throughput.record(1.0)
         if self._slo is not None and self._class_of is not None:

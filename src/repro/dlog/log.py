@@ -14,8 +14,8 @@ payloads in memory.
 from __future__ import annotations
 
 from collections import OrderedDict
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from dataclasses import dataclass
+from typing import Dict, List, NamedTuple, Optional
 
 __all__ = ["LogEntry", "LogSegment", "SharedLog"]
 
@@ -23,9 +23,13 @@ __all__ = ["LogEntry", "LogSegment", "SharedLog"]
 DEFAULT_CACHE_BYTES = 200 * 1024 * 1024
 
 
-@dataclass(frozen=True)
-class LogEntry:
-    """One appended record."""
+class LogEntry(NamedTuple):
+    """One appended record.
+
+    Immutable — snapshots copy only the position map and share entries
+    with the live cache — and built by the tuple constructor, which makes
+    one per append cheap.
+    """
 
     position: int
     size_bytes: int
@@ -63,11 +67,11 @@ class SharedLog:
             raise ValueError("size_bytes must be non-negative")
         position = self._next_position
         self._next_position += 1
-        entry = LogEntry(position=position, size_bytes=size_bytes, payload=payload)
-        self._cache[position] = entry
+        self._cache[position] = LogEntry(position, size_bytes, payload)
         self._cache_size += size_bytes
         self._total_appended_bytes += size_bytes
-        self._evict_if_needed()
+        if self._cache_size > self.cache_bytes:
+            self._evict_if_needed()
         return position
 
     def _evict_if_needed(self) -> None:

@@ -11,15 +11,18 @@ simulate while wire/disk accounting stays faithful.
 from __future__ import annotations
 
 import bisect
-from dataclasses import dataclass
-from typing import Dict, Iterator, List, Optional, Tuple
+from typing import Dict, Iterator, List, NamedTuple, Optional, Tuple
 
 __all__ = ["KeyValueStore", "StoredValue"]
 
 
-@dataclass(frozen=True)
-class StoredValue:
-    """A stored entry: its (possibly synthetic) value and its size."""
+class StoredValue(NamedTuple):
+    """A stored entry: its (possibly synthetic) value and its size.
+
+    Immutable — :meth:`KeyValueStore.snapshot` copies only the key map, so
+    checkpoints share entries with the live store — and built by the
+    tuple constructor, which makes one per applied update cheap.
+    """
 
     value: object
     size_bytes: int
@@ -54,7 +57,7 @@ class KeyValueStore:
         if key not in self._data:
             return False
         self._bytes += size_bytes - self._data[key].size_bytes
-        self._data[key] = StoredValue(value=value, size_bytes=size_bytes)
+        self._data[key] = StoredValue(value, size_bytes)
         return True
 
     def insert(self, key: str, value: object, size_bytes: int) -> bool:
@@ -64,7 +67,7 @@ class KeyValueStore:
         else:
             bisect.insort(self._sorted_keys, key)
             self._bytes += size_bytes
-        self._data[key] = StoredValue(value=value, size_bytes=size_bytes)
+        self._data[key] = StoredValue(value, size_bytes)
         return True
 
     def delete(self, key: str) -> bool:

@@ -786,9 +786,15 @@ class DeterministicMerger:
         self._groups: List[int] = sorted(set(group_ids))
         self._m = messages_per_round
         self._on_deliver = on_deliver or (lambda *args: None)
+        #: called with no arguments each time the merge completes a round:
+        #: after the round's last instance is consumed and delivered, before
+        #: the next round starts (replicas take deferred checkpoints here)
+        self.on_round_boundary: Optional[Callable[[], object]] = None
         self._queues: Dict[int, Deque[Tuple[int, int, ProposalValue]]] = {
             g: deque() for g in self._groups
         }
+        #: last instance consumed per group, skips included (-1: none yet)
+        self._positions: Dict[int, int] = {g: -1 for g in self._groups}
         self._current_index = 0
         self._consumed_in_round = 0
         self._delivered = 0
@@ -813,10 +819,13 @@ class DeterministicMerger:
             else:
                 self._delivered += 1
                 self._on_deliver(group_id, instance, value)
+            self._positions[group_id] = instance
             self._consumed_in_round += 1
             if self._consumed_in_round >= self._m:
                 self._consumed_in_round = 0
                 self._current_index = (self._current_index + 1) % len(self._groups)
+                if self._current_index == 0 and self.on_round_boundary is not None:
+                    self.on_round_boundary()
                 self._advance()
             return
         self._enqueue(queue, instance, instance, value)
@@ -852,6 +861,7 @@ class DeterministicMerger:
         """Add a subscription (takes effect for subsequent rounds)."""
         if group_id not in self._queues:
             self._queues[group_id] = deque()
+            self._positions[group_id] = -1
             self._groups = sorted(self._queues)
             # Restart the round pointer deterministically.
             self._current_index = 0
@@ -861,6 +871,7 @@ class DeterministicMerger:
     def _advance(self) -> None:
         """Deliver as much as possible while the current ring has input."""
         groups = self._groups
+        positions = self._positions
         m = self._m
         while True:
             group = groups[self._current_index]
@@ -871,6 +882,7 @@ class DeterministicMerger:
             if value.payload is not SKIP:
                 queue.popleft()
                 self._emit(group, first, value)
+                positions[group] = first
                 consumed = self._consumed_in_round + 1
             elif self._consumed_in_round == 0 and self._skip_rounds():
                 continue
@@ -881,10 +893,13 @@ class DeterministicMerger:
                 else:
                     queue[0] = (first + take, last, value)
                 self._skipped += take
+                positions[group] = first + take - 1
                 consumed = self._consumed_in_round + take
             if consumed >= m:
                 self._consumed_in_round = 0
                 self._current_index = (self._current_index + 1) % len(groups)
+                if self._current_index == 0 and self.on_round_boundary is not None:
+                    self.on_round_boundary()
             else:
                 self._consumed_in_round = consumed
 
@@ -908,12 +923,13 @@ class DeterministicMerger:
         if rounds <= 0:
             return False
         take = rounds * m
-        for queue in self._queues.values():
+        for group, queue in self._queues.items():
             first, last, value = queue[0]
             if first + take > last:
                 queue.popleft()
             else:
                 queue[0] = (first + take, last, value)
+            self._positions[group] = first + take - 1
         self._skipped += take * len(self._queues)
         return True
 
@@ -972,6 +988,14 @@ class DeterministicMerger:
         """
         return self._current_index == 0 and self._consumed_in_round == 0
 
+    def positions(self) -> Dict[int, int]:
+        """Last instance consumed per group, skips included (-1: none yet).
+
+        At a round boundary this is the merge position a checkpoint must
+        record: :meth:`fast_forward` to it resumes the merge exactly here.
+        """
+        return dict(self._positions)
+
     def fast_forward(self, group_positions: Dict[int, int]) -> None:
         """Reset the merge after a checkpoint install.
 
@@ -983,6 +1007,8 @@ class DeterministicMerger:
         for group, up_to in group_positions.items():
             if group not in self._queues:
                 continue
+            if up_to > self._positions[group]:
+                self._positions[group] = up_to
             queue = self._queues[group]
             while queue and queue[0][0] <= up_to:
                 first, last, value = queue.popleft()

@@ -52,7 +52,6 @@ class MultiRingProcess(Actor):
         self._nodes: Dict[int, RingNode] = {}
         self._node_disks: Dict[int, Optional[Disk]] = {}
         self._merger: Optional[DeterministicMerger] = None
-        self._delivered_per_group: Dict[int, int] = {}
         self._ring_tap: Optional[RunSink] = None
         #: Crash/restart count — segments recorded by this process carry it
         #: so downstream merge cursors can dedup re-emitted stream prefixes.
@@ -250,15 +249,22 @@ class MultiRingProcess(Actor):
         self._merger.offer_run(ring_id, first, last, value)
 
     def _deliver(self, group_id: int, instance: int, value: ProposalValue) -> None:
-        self._delivered_per_group[group_id] = instance
+        # Resolved per call: recorders and tests rebind ``on_deliver`` on the
+        # instance after the merger was built.
         self.on_deliver(group_id, instance, value)
 
     def on_deliver(self, group_id: int, instance: int, value: ProposalValue) -> None:
         """Application delivery hook (override in services)."""
 
     def delivered_position(self, group_id: int) -> int:
-        """Highest instance of ``group_id`` delivered to the application (-1 if none)."""
-        return self._delivered_per_group.get(group_id, -1)
+        """Highest instance of ``group_id`` the merge consumed, skips included (-1 if none).
+
+        Everything up to it is reflected in the application state: delivered,
+        a skip, or installed from a checkpoint.
+        """
+        if self._merger is None:
+            return -1
+        return self._merger.positions().get(group_id, -1)
 
     # -------------------------------------------------------------- messages
     def on_message(self, sender: str, message: Any) -> None:
@@ -316,7 +322,6 @@ class MultiRingProcess(Actor):
         subscribed = self.subscribed_groups()
         for buffer in self._segment_buffers:
             buffer.mark_restart(subscribed)
-        self._delivered_per_group.clear()
         learner_rings = [r for r, n in self._nodes.items() if n.is_learner]
         if learner_rings:
             self._merger = DeterministicMerger(

@@ -10,7 +10,10 @@ deliver groups in round-robin order of group id, the snapshot must not reflect
 a later instance of a higher-numbered group than of a lower-numbered one.  The
 checkpointer guarantees this (and keeps recovery simple) by only materialising
 checkpoints at *round boundaries* of the deterministic merge: a checkpoint
-request made mid-round is deferred until the merge finishes the round.
+request made mid-round is deferred until the merge finishes the round.  The
+positions a checkpoint records are the merge's own — the last instance it
+consumed of every group, skips included — so that a merger fast-forwarded to
+them resumes exactly where the checkpointed one stood.
 
 The checkpointer also supplies the replica's answer to the coordinator's trim
 query — its *safe instance* per group, i.e. the highest instance of that group
@@ -27,6 +30,7 @@ __all__ = ["ReplicaCheckpointer"]
 
 StateSnapshotFn = Callable[[], Tuple[Any, int]]
 RoundBoundaryFn = Callable[[], bool]
+PositionsFn = Callable[[], Dict[int, int]]
 
 
 class ReplicaCheckpointer:
@@ -43,6 +47,11 @@ class ReplicaCheckpointer:
     at_round_boundary:
         Predicate telling whether the deterministic merge currently sits at a
         round boundary; checkpoints are deferred until it does.
+    positions:
+        The merge's consumed position per group, skips included
+        (:meth:`~repro.multiring.merge.DeterministicMerger.positions`).
+        Folded into the positions given to :meth:`mark_delivered` whenever
+        they are read.
     """
 
     def __init__(
@@ -51,6 +60,7 @@ class ReplicaCheckpointer:
         snapshot_fn: StateSnapshotFn,
         group_ids: List[int],
         at_round_boundary: Optional[RoundBoundaryFn] = None,
+        positions: Optional[PositionsFn] = None,
     ) -> None:
         if not group_ids:
             raise ValueError("a replica must subscribe to at least one group")
@@ -58,6 +68,7 @@ class ReplicaCheckpointer:
         self._snapshot_fn = snapshot_fn
         self._groups = sorted(group_ids)
         self._at_round_boundary = at_round_boundary or (lambda: True)
+        self._positions = positions
         self._delivered: Dict[int, int] = {g: -1 for g in self._groups}
         self._pending_request = False
         self._checkpoints_taken = 0
@@ -73,7 +84,12 @@ class ReplicaCheckpointer:
 
     def delivered_positions(self) -> Dict[int, int]:
         """Current highest applied instance per group."""
-        return dict(self._delivered)
+        positions = dict(self._delivered)
+        if self._positions is not None:
+            for group, instance in self._positions().items():
+                if group in positions and instance > positions[group]:
+                    positions[group] = instance
+        return positions
 
     # ----------------------------------------------------------- checkpointing
     def request_checkpoint(self) -> bool:
@@ -96,7 +112,7 @@ class ReplicaCheckpointer:
         return False
 
     def _take_checkpoint(self) -> Checkpoint:
-        checkpoint_id = CheckpointId.from_mapping(self._delivered)
+        checkpoint_id = CheckpointId.from_mapping(self.delivered_positions())
         state, size = self._snapshot_fn()
         checkpoint = self.store.save(checkpoint_id, state, size)
         self._checkpoints_taken += 1

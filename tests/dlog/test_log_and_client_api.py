@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.dlog.client import DLogCommands, append_request_factory
-from repro.dlog.log import SharedLog
+from repro.dlog.log import LogEntry, SharedLog
 from repro.workloads.log import round_robin_logs, single_log
 
 
@@ -35,15 +35,27 @@ class TestSharedLog:
         assert log.trimmed_up_to == 4
         assert len(log.segments) == 1
 
-    def test_cache_eviction_respects_budget(self):
+    @pytest.mark.parametrize(
+        "sizes, oldest_cached",
+        [
+            ([100] * 20, 10),  # twice the budget: the newest ten survive
+            ([100] * 10, 0),  # exactly the budget: nothing is evicted
+            ([100] * 10 + [1], 1),  # one byte over: the oldest entry goes
+        ],
+        ids=["over", "exact", "one-byte-over"],
+    )
+    def test_cache_eviction_respects_budget(self, sizes, oldest_cached):
         log = SharedLog(0, cache_bytes=1000)
-        for _ in range(20):
-            log.append(100)
+        for size in sizes:
+            log.append(size)
         assert log.cached_bytes <= 1000
-        assert log.cached_entries <= 10
-        # the newest entries survive
-        assert log.read(19) is not None
-        assert log.read(0) is None
+        assert log.cached_entries == len(sizes) - oldest_cached
+        assert log.cached_bytes == sum(sizes[oldest_cached:])
+        # the newest entries survive, the older ones are gone
+        assert log.read(len(sizes) - 1) is not None
+        assert log.read(oldest_cached) is not None
+        if oldest_cached:
+            assert log.read(oldest_cached - 1) is None
 
     def test_snapshot_restore_roundtrip(self):
         log = SharedLog(0)
@@ -75,6 +87,25 @@ class TestSharedLog:
         log = SharedLog(1)
         positions = [log.append(size) for size in sizes]
         assert positions == list(range(len(sizes)))
+
+
+class TestLogEntry:
+    def test_is_an_immutable_record(self):
+        entry = LogEntry(position=3, size_bytes=100)
+        assert (entry.position, entry.size_bytes, entry.payload) == (3, 100, None)
+        assert repr(entry) == "LogEntry(position=3, size_bytes=100, payload=None)"
+        assert entry == LogEntry(3, 100, None)
+        assert entry != LogEntry(3, 100, b"x")
+        with pytest.raises(AttributeError):
+            entry.size_bytes = 1
+
+    def test_snapshot_shares_entries_with_the_live_cache(self):
+        log = SharedLog(0)
+        position = log.append(100, payload=b"data")
+        snapshot = log.snapshot()
+        assert snapshot["cache"][position] is log.read(position)
+        log.trim(position)
+        assert snapshot["cache"][position] == LogEntry(position, 100, b"data")
 
 
 class TestTable2Commands:

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.kvstore.partitioning import HashPartitioner, RangePartitioner
-from repro.kvstore.store import KeyValueStore
+from repro.kvstore.store import KeyValueStore, StoredValue
 
 
 class TestHashPartitioner:
@@ -60,6 +60,25 @@ class TestRangePartitioner:
 
     def test_partition_count(self):
         assert RangePartitioner([1, 2], splits=["m"]).partition_count == 2
+
+
+class TestStoredValue:
+    def test_is_an_immutable_record(self):
+        entry = StoredValue(value="v", size_bytes=10)
+        assert (entry.value, entry.size_bytes) == ("v", 10)
+        assert repr(entry) == "StoredValue(value='v', size_bytes=10)"
+        assert entry == StoredValue("v", 10)
+        assert entry != StoredValue("v", 11)
+        with pytest.raises(AttributeError):
+            entry.value = "w"
+
+    def test_snapshot_shares_entries_with_the_store(self):
+        store = KeyValueStore()
+        store.insert("k", "v", 10)
+        snapshot = store.snapshot()
+        assert snapshot["k"] is store.read("k")
+        store.update("k", "w", 20)
+        assert snapshot["k"] == StoredValue("v", 10)
 
 
 class TestKeyValueStore:
