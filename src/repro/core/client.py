@@ -25,6 +25,7 @@ from typing import Any, Callable, Dict, Iterable, List, Optional, Sequence, Tupl
 
 from ..net.message import ClientRequest, ClientResponse, Message
 from ..sim.actor import Actor, Environment
+from ..sim.metrics import LatencyRecorder
 from ..sim.network import register_wire_type
 
 __all__ = [
@@ -69,7 +70,7 @@ class Command:
     group_id: int = 0
     size_bytes: int = 64
     client: str = ""
-    command_id: int = field(default_factory=lambda: next(_command_ids))
+    command_id: int = field(default_factory=_command_ids.__next__)
     created_at: float = 0.0
     response_size: int = 32
 
@@ -157,6 +158,9 @@ Outstanding = Tuple[set, float, str]
 
 def op_label(commands: Sequence[Command]) -> str:
     """The per-op latency label of a logical request (``"read"``, ``"scan-update"``...)."""
+    if len(commands) == 1:
+        # The common request: one command, whose op is its own label.
+        return commands[0].op or "noop"
     return "-".join(sorted({c.op for c in commands})) or "noop"
 
 
@@ -237,6 +241,10 @@ class ClosedLoopClient(Actor):
         self._outstanding: Dict[int, Outstanding] = {}
         self._latency = env.metrics.latency(f"{metric_prefix}.latency")
         self._throughput = env.metrics.throughput(f"{metric_prefix}.throughput")
+        #: op label -> the registry's per-op latency recorder, bound on the
+        #: op's first completion (``reset_all`` resets recorders in place, so
+        #: a cached one stays the registry's)
+        self._op_latency: Dict[str, LatencyRecorder] = {}
 
     # ----------------------------------------------------------------- start
     def on_start(self) -> None:
@@ -252,25 +260,26 @@ class ClosedLoopClient(Actor):
         sequence = self._issued
         self._issued += 1
         commands, await_groups = self._factory(sequence)
-        self._outstanding[sequence] = (set(await_groups), self.now, op_label(commands))
+        now = self.now
+        name = self.name
+        self._outstanding[sequence] = (set(await_groups), now, op_label(commands))
         for command in commands:
-            command.client = self.name
-            command.created_at = self.now
+            command.client = name
+            command.created_at = now
             command.command_id = sequence
-            frontend = self._frontends[command.group_id]
             self.send(
-                frontend,
+                self._frontends[command.group_id],
                 ClientRequest(
                     payload_bytes=command.size_bytes,
-                    client=self.name,
+                    client=name,
                     command=command,
-                    created_at=self.now,
+                    created_at=now,
                 ),
             )
 
     # --------------------------------------------------------- response side
     def on_message(self, sender: str, message: Any) -> None:
-        if not isinstance(message, ClientResponse):
+        if message.__class__ is not ClientResponse and not isinstance(message, ClientResponse):
             return
         entry = settle_response(self._outstanding, message.request_id, message)
         if entry is None:
@@ -279,7 +288,12 @@ class ClosedLoopClient(Actor):
         self._completed += 1
         elapsed = self.now - submitted_at
         self._latency.record(elapsed)
-        self.env.metrics.latency(f"{self._metric_prefix}.latency.{op}").record(elapsed)
+        recorder = self._op_latency.get(op)
+        if recorder is None:
+            recorder = self._op_latency[op] = self.env.metrics.latency(
+                f"{self._metric_prefix}.latency.{op}"
+            )
+        recorder.record(elapsed)
         self._throughput.record(1.0)
         self._issue_next()
 
@@ -344,23 +358,25 @@ class OpenLoopClient(Actor):
         sequence = self._issued
         self._issued += 1
         commands, await_groups = self._factory(sequence)
-        self._outstanding[sequence] = (set(await_groups), self.now, op_label(commands))
+        now = self.now
+        name = self.name
+        self._outstanding[sequence] = (set(await_groups), now, op_label(commands))
         for command in commands:
-            command.client = self.name
-            command.created_at = self.now
+            command.client = name
+            command.created_at = now
             command.command_id = sequence
             self.send(
                 self._frontends[command.group_id],
                 ClientRequest(
                     payload_bytes=command.size_bytes,
-                    client=self.name,
+                    client=name,
                     command=command,
-                    created_at=self.now,
+                    created_at=now,
                 ),
             )
 
     def on_message(self, sender: str, message: Any) -> None:
-        if not isinstance(message, ClientResponse):
+        if message.__class__ is not ClientResponse and not isinstance(message, ClientResponse):
             return
         entry = settle_response(self._outstanding, message.request_id, message)
         if entry is None:

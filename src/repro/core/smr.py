@@ -156,13 +156,14 @@ class StateMachineReplica(MultiRingProcess):
         result = self.apply_command(group_id, command)
         self._commands_applied += 1
         if self.respond_to_clients and command.client:
+            # Positional: (payload_bytes, request_id, result, replica).
             self.send(
                 command.client,
                 ClientResponse(
-                    payload_bytes=command.response_size,
-                    request_id=command.command_id,
-                    result={"group_id": group_id, "value": result},
-                    replica=self.name,
+                    command.response_size,
+                    command.command_id,
+                    {"group_id": group_id, "value": result},
+                    self.name,
                 ),
             )
 
@@ -339,13 +340,11 @@ class ProposerFrontend(MultiRingProcess):
         self._forwarded = 0
 
     def on_service_message(self, sender: str, message: Any) -> None:
-        if not isinstance(message, ClientRequest):
+        if message.__class__ is not ClientRequest and not isinstance(message, ClientRequest):
             return
         command = message.command
-        if isinstance(command, (Command, CommandBatch)):
-            group_id = command.group_id
-            size = command.size_bytes
-            self.multicast(group_id, command, size)
+        if command.__class__ is Command or isinstance(command, (Command, CommandBatch)):
+            self.multicast(command.group_id, command, command.size_bytes)
             self._forwarded += 1
 
     @property

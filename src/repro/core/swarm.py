@@ -49,7 +49,7 @@ from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from ..net.message import ClientRequest, ClientResponse
 from ..sim.actor import Actor, Environment
-from ..sim.metrics import SloTracker
+from ..sim.metrics import LatencyRecorder, SloTracker
 from ..workloads.arrival import ArrivalCurve, constant
 from .client import Outstanding, RequestFactory, op_label, settle_response
 
@@ -273,6 +273,8 @@ class ClientSwarm(Actor):
         # ----------------------------------------------------------- metrics
         self._latency = env.metrics.latency(f"{metric_prefix}.latency", sketch=self._sketch)
         self._throughput = env.metrics.throughput(f"{metric_prefix}.throughput")
+        #: op label -> per-op latency recorder, as in ``ClosedLoopClient``
+        self._op_latency: Dict[str, LatencyRecorder] = {}
         self._slo: Optional[SloTracker] = None
         self._class_of: Optional[Callable[[int], str]] = None
         if slo:
@@ -435,12 +437,12 @@ class ClientSwarm(Actor):
 
     # ---------------------------------------------------------- response side
     def _on_port_message(self, index: int, sender: str, message: Any) -> None:
-        if not isinstance(message, ClientResponse):
+        if message.__class__ is not ClientResponse and not isinstance(message, ClientResponse):
             return
         self._complete(index, message.request_id * self._n + index, message)
 
     def on_message(self, sender: str, message: Any) -> None:
-        if not isinstance(message, ClientResponse):
+        if message.__class__ is not ClientResponse and not isinstance(message, ClientResponse):
             return
         key = message.request_id
         self._complete(key % self._n, key, message)
@@ -455,9 +457,12 @@ class ClientSwarm(Actor):
         elapsed = self.now - submitted_at
         self._latency.record(elapsed)
         if self._mode == "closed":
-            self.env.metrics.latency(
-                f"{self._metric_prefix}.latency.{op}", sketch=self._sketch
-            ).record(elapsed)
+            recorder = self._op_latency.get(op)
+            if recorder is None:
+                recorder = self._op_latency[op] = self.env.metrics.latency(
+                    f"{self._metric_prefix}.latency.{op}", sketch=self._sketch
+                )
+            recorder.record(elapsed)
         self._throughput.record(1.0)
         if self._slo is not None and self._class_of is not None:
             self._slo.record(self._class_of(index), elapsed)

@@ -64,8 +64,10 @@ class DLogReplica(StateMachineReplica):
     def apply_command(self, group_id: int, command: Command) -> Any:
         """Execute one Table 2 operation."""
         op = command.op
-        log = self.log_for(group_id)
-        if op in ("append", "multi-append"):
+        log = self.logs.get(group_id)
+        if log is None:
+            log = self.log_for(group_id)
+        if op == "append" or op == "multi-append":
             size = command.args[0] if command.args else command.size_bytes
             position = log.append(size_bytes=size)
             if self.persist_appends:

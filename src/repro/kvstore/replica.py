@@ -34,6 +34,9 @@ class MRPStoreReplica(StateMachineReplica):
     ) -> None:
         super().__init__(env, name, site, config=config, respond_to_clients=respond_to_clients)
         self.store = KeyValueStore()
+        #: preloaded entries: the durable genesis state every restart starts
+        #: from (the preload bypasses ordering, so no replay can rebuild it)
+        self._genesis: Dict[str, StoredValue] = {}
 
     # ------------------------------------------------------------ state machine
     def apply_command(self, group_id: int, command: Command) -> Any:
@@ -58,6 +61,16 @@ class MRPStoreReplica(StateMachineReplica):
             return {"deleted": self.store.delete(key)}
         raise ValueError(f"unknown MRP-Store operation: {op}")
 
+    def preload(self, entries: Dict[str, StoredValue]) -> None:
+        """Load ``entries`` outside ordering and keep them as genesis state.
+
+        Upserts like one ``insert`` per entry.  The dict and its entries are
+        kept by reference (replicas of a partition share them) and must not
+        be mutated afterwards.
+        """
+        self.store.restore({**self.store.snapshot(), **entries})
+        self._genesis = {**self._genesis, **entries} if self._genesis else entries
+
     # --------------------------------------------------------------- snapshots
     def snapshot_state(self) -> Tuple[Dict[str, StoredValue], int]:
         return self.store.snapshot(), max(self.store.size_bytes, 1)
@@ -66,7 +79,12 @@ class MRPStoreReplica(StateMachineReplica):
         self.store.restore(state)
 
     def reset_state(self) -> None:
-        self.store.clear()
+        # Back to genesis, not to empty: replay and checkpoint install start
+        # from the preloaded dataset, exactly as the live replica did.
+        if self._genesis:
+            self.store.restore(self._genesis)
+        else:
+            self.store.clear()
 
     # --------------------------------------------------------------- inspection
     def entry_count(self) -> int:

@@ -139,9 +139,10 @@ class MultiRingProcess(Actor):
         The process must be a proposer in the corresponding ring; learners of
         the group deliver the payload through :meth:`on_deliver`.
         """
-        if group_id not in self._nodes:
+        node = self._nodes.get(group_id)
+        if node is None:
             raise KeyError(f"{self.name} is not a member of ring/group {group_id}")
-        return self._nodes[group_id].propose(payload, size_bytes)
+        return node.propose(payload, size_bytes)
 
     # -------------------------------------------------------------- delivery
     def tap_ring_streams(self, sink: RunSink) -> None:

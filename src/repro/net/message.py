@@ -61,7 +61,7 @@ class Message:
 class ClientRequest(Message):
     """A request submitted by a client to a service front-end."""
 
-    request_id: int = field(default_factory=next_message_id)
+    request_id: int = field(default_factory=_message_ids.__next__)
     client: str = ""
     command: Any = None
     created_at: float = 0.0

@@ -263,11 +263,11 @@ class RingNode:
             raise RuntimeError(f"{self.host.name} is not a proposer in ring {self.ring_id}")
         self._proposal_seq += 1
         value = ProposalValue(
-            payload=payload,
-            size_bytes=size_bytes,
-            proposer=self.host.name,
-            proposal_id=self._proposal_seq,
-            created_at=self.host.now if created_at is None else created_at,
+            payload,
+            size_bytes,
+            self.host.name,
+            self._proposal_seq,
+            self.host.env.simulator._now if created_at is None else created_at,
         )
         if self.is_coordinator:
             self._coordinator_enqueue(value)

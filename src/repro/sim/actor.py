@@ -243,7 +243,9 @@ class Actor:
     @property
     def now(self) -> float:
         """Current simulation time (seconds)."""
-        return self.env.simulator.now
+        # The kernel's time attribute, not its ``now`` property: one hop
+        # less on a read every handler makes.
+        return self.env.simulator._now
 
     def rng(self, purpose: str = "default"):
         """A seeded random stream private to this actor and purpose."""

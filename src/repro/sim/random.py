@@ -81,6 +81,8 @@ class ZipfianGenerator:
         self._zetan = self._zeta(item_count, theta)
         self._zeta2 = self._zeta(2, theta)
         self._alpha = 1.0 / (1.0 - theta)
+        #: upper bound of the draws that return item 1
+        self._second_bound = 1.0 + 0.5 ** theta
         # For item_count <= 2 the classic eta expression degenerates (at
         # n == 2, zeta(2) == zeta(n) zeroes the denominator; at n == 1 it goes
         # negative).  Those keyspaces never reach the eta branch of next() —
@@ -101,7 +103,7 @@ class ZipfianGenerator:
         uz = u * self._zetan
         if uz < 1.0:
             return 0
-        if uz < 1.0 + 0.5 ** self._theta:
+        if uz < self._second_bound:
             return 1
         key = int(self._items * (self._eta * u - self._eta + 1) ** self._alpha)
         # Floating-point round-off at u → 1 can land exactly on item_count;

@@ -78,6 +78,9 @@ class WriteAheadLog:
             self.disk = disk or Disk(env, profile, name=f"{name}.disk")
         self._records: Dict[int, LogRecord] = {}
         self._pending: List[LogRecord] = []
+        #: device bytes of ``_pending`` (framing included), kept by
+        #: :meth:`append` so a flush never re-sums its batch
+        self._pending_bytes = 0
         self._flush_interval = flush_interval
         self._flush_scheduled = False
         # Mode flags resolved once: append() runs per vote on the ring path.
@@ -124,6 +127,7 @@ class WriteAheadLog:
 
         # Asynchronous mode: buffer and flush in the background.
         self._pending.append(record)
+        self._pending_bytes += size_bytes + _RECORD_OVERHEAD
         self._schedule_flush()
         if on_durable is not None:
             self._simulator._post(0.0, on_durable, on_durable_args)
@@ -139,13 +143,11 @@ class WriteAheadLog:
         self._flush_scheduled = False
         if not self._pending or self.disk is None:
             return
-        batch = self._pending
+        total = self._pending_bytes
         self._pending = []
-        total = sum(r.size_bytes + _RECORD_OVERHEAD for r in batch)
+        self._pending_bytes = 0
         self.disk.write(total)
         self._durable_up_to_bytes += total
-        if self._pending:
-            self._schedule_flush()
 
     # ------------------------------------------------------------------- read
     def get(self, instance: int) -> Optional[LogRecord]:
@@ -195,6 +197,7 @@ class WriteAheadLog:
                 self._records.pop(record.instance, None)
             self._lost_on_crash += len(self._pending)
             self._pending.clear()
+            self._pending_bytes = 0
 
     @property
     def lost_on_crash(self) -> int:

@@ -26,7 +26,7 @@ import random
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Tuple
 
-from ..sim.random import LatestGenerator, UniformIntGenerator, ZipfianGenerator, weighted_choice
+from ..sim.random import LatestGenerator, UniformIntGenerator, ZipfianGenerator
 
 __all__ = ["YCSB_WORKLOADS", "YCSBWorkload", "WorkloadSpec", "ycsb_keyspace"]
 
@@ -118,6 +118,14 @@ class YCSBWorkload:
         self._rng = rng
         self._insert_count = record_count
         self._mix = spec.mix()
+        # weighted_choice's total and running sums, computed once in its own
+        # summation order so every draw picks exactly what it would pick.
+        self._mix_total = sum(w for _, w in self._mix)
+        self._mix_bounds: List[Tuple[str, float]] = []
+        acc = 0.0
+        for op, weight in self._mix:
+            acc += weight
+            self._mix_bounds.append((op, acc))
         if spec.distribution == "latest":
             self._latest = LatestGenerator(record_count, rng)
             self._zipf = None
@@ -144,7 +152,15 @@ class YCSBWorkload:
     # ------------------------------------------------------------ operations
     def next_operation(self, sequence: int = 0) -> Operation:
         """Generate the next operation (deterministic given the stream state)."""
-        op = weighted_choice(self._rng, self._mix)
+        total = self._mix_total
+        if total <= 0:
+            raise ValueError("weights must sum to a positive value")
+        point = self._rng.random() * total
+        for op, bound in self._mix_bounds:
+            if point <= bound:
+                break
+        else:
+            op = self._mix[-1][0]
         self._issued[op] = self._issued.get(op, 0) + 1
         if op == "insert":
             key = ycsb_key(self._insert_count)

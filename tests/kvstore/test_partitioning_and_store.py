@@ -1,5 +1,7 @@
 """Tests of MRP-Store partitioning and the in-memory key-value state machine."""
 
+import hashlib
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -27,6 +29,22 @@ class TestHashPartitioner:
     def test_requires_groups(self):
         with pytest.raises(ValueError):
             HashPartitioner([])
+
+    @given(
+        groups=st.lists(st.integers(min_value=0, max_value=50), min_size=1, max_size=8),
+        keys=st.lists(st.text(max_size=12), min_size=1, max_size=40),
+        repeats=st.integers(min_value=1, max_value=3),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_memoised_routing_matches_the_md5_formula(self, groups, keys, repeats):
+        partitioner = HashPartitioner(groups)
+        ordered = sorted(set(groups))
+        # Every key asked ``repeats`` times, interleaved, so both the first
+        # (digest) and the memoised answers are compared.
+        for key in keys * repeats:
+            digest = hashlib.md5(key.encode()).digest()
+            expected = ordered[int.from_bytes(digest[:4], "big") % len(ordered)]
+            assert partitioner.group_for_key(key) == expected
 
     @given(st.text(max_size=30))
     @settings(max_examples=50, deadline=None)

@@ -8,7 +8,7 @@ from repro.sim.actor import Environment
 from repro.sim.disk import StorageMode
 from repro.storage.checkpoint import CheckpointId, CheckpointStore
 from repro.storage.slots import SlotBuffer, SlotFullError
-from repro.storage.wal import WriteAheadLog
+from repro.storage.wal import _RECORD_OVERHEAD, WriteAheadLog
 
 
 class TestSlotBuffer:
@@ -117,6 +117,22 @@ class TestWriteAheadLog:
         log.crash()
         assert 0 in log
         assert 1 not in log
+
+    def test_async_flush_writes_the_framed_batch_bytes(self):
+        env = Environment()
+        log = WriteAheadLog(env, mode=StorageMode.ASYNC_HDD, flush_interval=0.01)
+        for i, size in enumerate((10, 20, 30)):
+            log.append(i, 1, _value(), size)
+        env.simulator.run(until=0.05)
+        assert log.disk.bytes_written == 60 + 3 * _RECORD_OVERHEAD
+        # A crash drops the buffered record's bytes with it: the next flush
+        # writes only what was appended after the crash.
+        log.append(3, 1, _value(), 40)
+        log.crash()
+        log.append(4, 1, _value(), 50)
+        env.simulator.run(until=0.1)
+        assert log.disk.bytes_written == 60 + 50 + 4 * _RECORD_OVERHEAD
+        assert log.disk.write_count == 2
 
     def test_crash_sync_keeps_everything(self):
         env = Environment()

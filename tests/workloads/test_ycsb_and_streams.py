@@ -4,8 +4,10 @@ import random
 
 import pytest
 
+from repro.sim.random import LatestGenerator, ZipfianGenerator, weighted_choice
 from repro.workloads.kv import preload_keys, read_mostly_workload, update_only_workload
 from repro.workloads.ycsb import (
+    MAX_SCAN_LENGTH,
     RECORD_BYTES,
     YCSB_WORKLOADS,
     WorkloadSpec,
@@ -30,9 +32,60 @@ class TestYCSBDefinitions:
         assert ycsb_key(3) in keyspace
 
 
+def _reference_zipf_next(zipf):
+    """``ZipfianGenerator.next`` as it was, recomputing ``0.5 ** theta``."""
+    u = zipf._rng.random()
+    uz = u * zipf._zetan
+    if uz < 1.0:
+        return 0
+    if uz < 1.0 + 0.5 ** zipf._theta:
+        return 1
+    key = int(zipf._items * (zipf._eta * u - zipf._eta + 1) ** zipf._alpha)
+    return key if key < zipf._items else zipf._items - 1
+
+
+def _reference_operations(spec, records, seed, count):
+    """The generator as it was: ``weighted_choice`` per draw.  Run with
+    :func:`_reference_zipf_next` patched in, it pins the precomputed mix
+    bounds and zipf constant to the exact same op/key sequence."""
+    rng = random.Random(seed)
+    mix = spec.mix()
+    inserted = records
+    latest = spec.distribution == "latest"
+    keys = LatestGenerator(records, rng) if latest else ZipfianGenerator(records, rng)
+    ops = []
+    for _ in range(count):
+        op = weighted_choice(rng, mix)
+        if op == "insert":
+            ops.append((op, ycsb_key(inserted)))
+            inserted += 1
+            if latest:
+                keys.record_insert()
+            continue
+        index = min(keys.next(), inserted - 1)
+        if op == "scan":
+            length = rng.randint(1, MAX_SCAN_LENGTH)
+            start = min(keys.next(), inserted - 1)
+            ops.append((op, ycsb_key(start), ycsb_key(min(start + length, inserted - 1))))
+        else:
+            ops.append((op, ycsb_key(index)))
+    return ops
+
+
 class TestYCSBGenerator:
     def _workload(self, name, seed=1, records=500):
         return YCSBWorkload(YCSB_WORKLOADS[name], record_count=records, rng=random.Random(seed))
+
+    @pytest.mark.parametrize("name", sorted(YCSB_WORKLOADS))
+    @pytest.mark.parametrize("seed", [1, 7, 1001])
+    def test_sequence_matches_reference_generator(self, name, seed, monkeypatch):
+        workload = self._workload(name, seed=seed, records=300)
+        produced = []
+        for _ in range(2000):
+            op, key, _, end_key = workload.next_operation()
+            produced.append((op, key, end_key) if op == "scan" else (op, key))
+        monkeypatch.setattr(ZipfianGenerator, "next", _reference_zipf_next)
+        assert produced == _reference_operations(YCSB_WORKLOADS[name], 300, seed, 2000)
 
     def test_workload_a_mixes_reads_and_updates(self):
         workload = self._workload("A")
